@@ -19,8 +19,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from scipy.integrate import quad
-
 from .degree import DegreeDistribution
 from .exppoly import ExpPoly
 
@@ -197,11 +195,14 @@ def averaged_densities(dist: DegreeDistribution) -> AveragedDensities:
 
     QD1 and QD3 average the regular-tree formulas over the root degree
     (their derivations never look past the nearest neighbors).  QD2
-    expands (z0 - Z_u)^k binomially and integrates each
-    Z_u^i e^{-(d0+1)u} term exactly:
+    integrates the product form of the code-2 inflow exactly, one ODE
+    solve per atom:
 
-        QD2 = sum_d0 a_d0 sum_{k=1}^{d0} C(d0,k) sum_{i=0}^{k} C(k,i)
-              (-1)^i z0^{k-i} int_0^t Z_u^i e^{-(d0+1)u} du.
+        QD2 = sum_d0 a_d0 int_0^t (W_u^{d0} - 1) e^{-(d0+1)u} du,
+        W = 1 + z0 - Z.
+
+    The atoms are sorted by degree, so each W^{d0} is reached from the
+    previous atom's power by repeated multiplication with W.
     """
     qd1 = ExpPoly.zero()
     qd3 = ExpPoly.zero()
@@ -215,20 +216,15 @@ def averaged_densities(dist: DegreeDistribution) -> AveragedDensities:
     )
 
     z = z_kernel(dist)
-    z0 = z.at_zero()
-    z_pow = [ExpPoly.one()]
-    for _ in range(dist.max_degree):
-        z_pow.append(z_pow[-1] * z)
-
+    base = ExpPoly.constant(1 + z.at_zero()) - z
+    power, base_pow = 0, ExpPoly.one()
     qd2 = ExpPoly.zero()
     for d0, w in dist.atoms:
-        inner = ExpPoly.zero()
-        for k in range(1, d0 + 1):
-            for i in range(k + 1):
-                coeff = comb(d0, k) * comb(k, i) * (-1) ** i * z0 ** (k - i)
-                integral = (z_pow[i] * ExpPoly.exp(d0 + 1)).integrate0()
-                inner = inner + integral.scale(coeff)
-        qd2 = qd2 + inner.scale(w)
+        for _ in range(d0 - power):
+            base_pow = base_pow * base
+        power = d0
+        inflow = (base_pow - ExpPoly.one()) * ExpPoly.exp(d0 + 1)
+        qd2 = qd2 + inflow.integrate0().scale(w)
 
     return AveragedDensities(
         dist=dist,
@@ -299,8 +295,11 @@ def qd2_quadrature(dist: DegreeDistribution, t: float) -> float:
 
     Uses the product form sum_d0 a_d0 ((1 + z0 - Z_u)^{d0} - 1) e^{-(d0+1)u}
     with float arithmetic throughout; serves as an oracle for the exact
-    expansion in averaged_densities.
+    integration in averaged_densities.  scipy is imported here, not at
+    module level, so the rest of the package loads without it.
     """
+    from scipy.integrate import quad
+
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
     if t == 0:

@@ -135,7 +135,10 @@ def curve_from_exact(
     series = tuple(
         (
             name,
-            tuple(SeriesPoint(mean=form.eval(t), stderr=0.0, n="exact") for t in times),
+            tuple(
+                SeriesPoint(mean=value, stderr=0.0, n="exact")
+                for value in form.eval_grid(times)
+            ),
         )
         for name, form in named_forms
     )

@@ -226,15 +226,24 @@ class ExpPoly:
 
     def eval(self, t: float) -> float:
         """Evaluate at a float time (t >= 0)."""
-        if t < 0:
-            raise ValueError("ExpPoly is defined for t >= 0")
-        total = 0.0
-        for a, k, c in self._terms:
-            total += float(c) * (t ** k) * math.exp(-float(a) * t)
-        return total
+        return self.eval_grid((t,))[0]
 
     def eval_grid(self, times: Iterable[float]) -> list[float]:
-        return [self.eval(t) for t in times]
+        """Evaluate at each float time (all >= 0), converting coefficients once.
+
+        Each value is summed term by term as c * t^k * exp(-a t) in float
+        arithmetic, the same operations in the same order for every grid.
+        """
+        terms = [(float(c), k, -float(a)) for a, k, c in self._terms]
+        out = []
+        for t in times:
+            if t < 0:
+                raise ValueError("ExpPoly is defined for t >= 0")
+            total = 0.0
+            for c, k, neg_a in terms:
+                total += c * (t ** k) * math.exp(neg_a * t)
+            out.append(total)
+        return out
 
     def at_zero(self) -> Fraction:
         """Exact value at t = 0."""

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -145,6 +146,42 @@ def test_averaged_rho2_limit_two_three():
     av = averaged_densities(TWO_THREE)
     assert av.Qrho2.limit_at_infinity() == F(85717, 322560)
     assert av.Qrho2.at_zero() == 0
+
+
+def binomial_qd2(dist):
+    """QD2 by the binomial double sum over k and i, one integral per term.
+
+    Expands ((1 + z0 - Z)^{d0} - 1) as sum_{k>=1} C(d0,k) (z0 - Z)^k and
+    (z0 - Z)^k as sum_i C(k,i) (-1)^i z0^{k-i} Z^i: an independent route
+    to the product form that averaged_densities integrates.
+    """
+    z = z_kernel(dist)
+    z0 = z.at_zero()
+    z_pow = [ExpPoly.one()]
+    for _ in range(dist.max_degree):
+        z_pow.append(z_pow[-1] * z)
+    qd2 = ExpPoly.zero()
+    for d0, w in dist.atoms:
+        for k in range(1, d0 + 1):
+            for i in range(k + 1):
+                coeff = w * comb(d0, k) * comb(k, i) * (-1) ** i * z0 ** (k - i)
+                qd2 = qd2 + (z_pow[i] * ExpPoly.exp(d0 + 1)).integrate0().scale(coeff)
+    return qd2
+
+
+@pytest.mark.parametrize(
+    "dist",
+    [
+        TWO_THREE,
+        TWO_THIRDS,
+        THREE_SEVEN,
+        make_regular(3),
+        DegreeDistribution.from_pairs({2: "1/4", 4: "3/4"}),
+        DegreeDistribution.from_pairs({2: "1/2", 9: "1/2"}),
+    ],
+)
+def test_product_form_qd2_matches_binomial_expansion(dist):
+    assert averaged_densities(dist).QD2 == binomial_qd2(dist)
 
 
 @pytest.mark.parametrize("dist", [TWO_THREE, TWO_THIRDS, THREE_SEVEN])

@@ -173,6 +173,25 @@ def test_eval_matches_math():
         f.eval(-0.1)
 
 
+times = st.floats(min_value=0, max_value=30, allow_nan=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(polys, st.lists(times, max_size=8))
+def test_eval_grid_matches_termwise_reference(f, ts):
+    expected = []
+    for t in ts:
+        total = 0.0
+        for a, k, c in f.terms:
+            total += float(c) * t ** k * math.exp(-float(a) * t)
+        expected.append(total)
+    got = f.eval_grid(ts)
+    assert [v.hex() for v in got] == [v.hex() for v in expected]
+    assert [f.eval(t) for t in ts] == got
+    with pytest.raises(ValueError):
+        f.eval_grid([*ts, -0.5])
+
+
 def test_at_zero_and_limit():
     f = ep((0, 0, F(2, 7)), (5, 3, 9))
     assert f.at_zero() == F(2, 7)
