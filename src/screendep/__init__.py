@@ -15,15 +15,13 @@ from .analytic import (
     AveragedDensities,
     RegularDensities,
     averaged_densities,
-    c_integral,
+    betas,
     qd2_quadrature,
     regular_densities,
     s_conditional,
-    two_atom_rho2,
 )
 from .compare import (
     ComparisonReport,
-    beta,
     check_gf_dominance,
     check_jensen,
     check_layer_dominance,
@@ -32,16 +30,7 @@ from .compare import (
 )
 from .curves import DensityCurve, SeriesPoint, curve_from_exact
 from .degree import DegreeDistribution, make_regular, parse_atoms
-from .deposit import (
-    RateConformanceError,
-    ReplicaSnapshot,
-    SimConfig,
-    SiteState,
-    estimate_densities,
-    estimate_pattern,
-    run_replica,
-    settle_height,
-)
+from .deposit import ReplicaSnapshot, SimConfig, estimate_densities, run_replica
 from .exppoly import ExpPoly, TermBudgetError, solve_linear_ode
 from .graphs import (
     GraphInstance,
@@ -62,25 +51,21 @@ __all__ = [
     "GraphInstance",
     "Motive",
     "RandomBallSource",
-    "RateConformanceError",
     "RegularDensities",
     "ReplicaSnapshot",
     "SeriesPoint",
     "SimConfig",
-    "SiteState",
     "TermBudgetError",
     "averaged_densities",
-    "beta",
+    "betas",
     "build_cycle",
     "build_random_ball",
     "build_regular_ball",
-    "c_integral",
     "check_gf_dominance",
     "check_jensen",
     "check_layer_dominance",
     "curve_from_exact",
     "estimate_densities",
-    "estimate_pattern",
     "make_regular",
     "parse_atoms",
     "pattern_system",
@@ -90,8 +75,6 @@ __all__ = [
     "rho2_limit",
     "run_replica",
     "s_conditional",
-    "settle_height",
     "solve_linear_ode",
     "target_probability",
-    "two_atom_rho2",
 ]

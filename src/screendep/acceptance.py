@@ -197,16 +197,15 @@ class AcceptanceSuite:
 
     def criterion_2(self) -> tuple[bool, str]:
         for d in range(2, 51):
-            rd = regular_densities(d)  # raises if rho2 display != D2 + D3
-            if rd.rho2 != rd.D2 + rd.D3:
-                return False, f"d={d}: rho2 display != D2 + D3"
+            rd = regular_densities(d)  # raises if rho1 != D1 + D3
             if rd.rho1.limit_at_infinity() != Fraction(1, d + 1):
                 return False, f"d={d}: rho1 limit wrong"
-            if rd.rho2.limit_at_infinity() != rho2_limit(d):
+            lim2 = rho2_limit(d)
+            if rd.rho2.limit_at_infinity() != lim2:
                 return False, f"d={d}: rho2 limit disagrees across modules"
-            if not rho2_limit(d) < Fraction(1, d + 1):
+            if not lim2 < Fraction(1, d + 1):
                 return False, f"d={d}: second layer not dominated"
-        return True, "d=2..50: displays consistent, limits exact, dominance holds"
+        return True, "d=2..50: rho1 = D1 + D3, limits exact, dominance holds"
 
     def criterion_3(self) -> tuple[bool, str]:
         curve = self.cycle_curve()

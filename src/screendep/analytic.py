@@ -53,53 +53,33 @@ def _d3(d: int) -> ExpPoly:
     )
 
 
-def _beta(d: int, k: int) -> Fraction:
-    return (
-        Fraction(d, d - 1) ** d
-        * comb(d, k)
-        * Fraction(1, d ** k)
-        / ((d - 1) * k + d + 1)
+def betas(d: int) -> tuple[Fraction, ...]:
+    """beta_k(d) = (d/(d-1))^d C(d,k) d^{-k} / ((d-1)k + d + 1) for k = 0..d.
+
+    D2 on T_d is the alternating sum of beta_k(d)(1 - e^{-((d-1)k + d + 1)t})
+    less (1 - e^{-(d+1)t})/(d+1); the layer-dominance proof bounds the
+    same sum.
+    """
+    if d < 2:
+        raise ValueError(f"degree must be >= 2, got {d}")
+    scale = Fraction(d, d - 1) ** d
+    return tuple(
+        scale * comb(d, k) * Fraction(1, d ** k) / ((d - 1) * k + d + 1)
+        for k in range(d + 1)
     )
 
 
 def _d2(d: int) -> ExpPoly:
     r = d + 1
     terms: list[tuple[object, int, Fraction]] = []
-    for k in range(d + 1):
-        beta = _beta(d, k) * (-1) ** k
+    for k, beta in enumerate(betas(d)):
+        beta *= (-1) ** k
         rate = (d - 1) * k + d + 1
         terms.append((0, 0, beta))
         terms.append((rate, 0, -beta))
     terms.append((0, 0, -Fraction(1, r)))
     terms.append((r, 0, Fraction(1, r)))
     return ExpPoly(terms)
-
-
-def _rho2_display(d: int) -> ExpPoly:
-    r = d + 1
-    terms: list[tuple[object, int, Fraction]] = []
-    for k in range(d + 1):
-        beta = _beta(d, k) * (-1) ** k
-        rate = (d - 1) * k + d + 1
-        terms.append((0, 0, beta))
-        terms.append((rate, 0, -beta))
-    terms.append((0, 0, -Fraction(d, r * r)))
-    terms.append((r, 0, Fraction(d, r * r)))
-    terms.append((r, 1, -Fraction(1, r)))
-    return ExpPoly(terms)
-
-
-def d2_rate(d: int) -> ExpPoly:
-    """The inflow rate of the code-2 class: e^{-(d+1)t}[(1 + (1-e^{-(d-1)t})/(d-1))^d - 1].
-
-    Integrating this from 0 reproduces D2; the expansion of the bracket is
-    how the alternating-sum display arises, so the two routes cross-check
-    each other term by term.
-    """
-    if d < 2:
-        raise ValueError(f"degree must be >= 2, got {d}")
-    w = (ExpPoly.one() - ExpPoly.exp(d - 1)) / (d - 1)
-    return ExpPoly.exp(d + 1) * ((ExpPoly.one() + w) ** d - ExpPoly.one())
 
 
 @dataclass(frozen=True)
@@ -116,8 +96,6 @@ class RegularDensities:
     def __post_init__(self):
         if self.rho1 != self.D1 + self.D3:
             raise AssertionError(f"d={self.d}: rho1 != D1 + D3")
-        if self.rho2 != self.D2 + self.D3:
-            raise AssertionError(f"d={self.d}: rho2 display != D2 + D3")
 
     def to_json_dict(self) -> dict:
         return {
@@ -133,21 +111,20 @@ class RegularDensities:
 def regular_densities(d: int) -> RegularDensities:
     """Exact densities on the d-regular tree, d >= 2.
 
-    rho1 = (1 - e^{-(d+1)t})/(d+1); rho2 is the alternating sum over
-    beta_k(d) = (d/(d-1))^d C(d,k) d^{-k} / ((d-1)k + d + 1).  Both are
-    verified against D1 + D3 and D2 + D3 at construction.
+    rho1 = (1 - e^{-(d+1)t})/(d+1), verified against D1 + D3 at
+    construction; rho2 = D2 + D3, with D2 the alternating sum over betas(d).
     """
     if d < 2:
         raise ValueError(f"degree must be >= 2, got {d}")
     r = d + 1
-    rho1 = (ExpPoly.one() - ExpPoly.exp(r)) / r
+    d2, d3 = _d2(d), _d3(d)
     return RegularDensities(
         d=d,
         D1=_d1(d),
-        D2=_d2(d),
-        D3=_d3(d),
-        rho1=rho1,
-        rho2=_rho2_display(d),
+        D2=d2,
+        D3=d3,
+        rho1=(ExpPoly.one() - ExpPoly.exp(r)) / r,
+        rho2=d2 + d3,
     )
 
 
@@ -235,59 +212,6 @@ def averaged_densities(dist: DegreeDistribution) -> AveragedDensities:
         Qrho2=qd2 + qd3,
         Z=z,
     )
-
-
-def c_integral(dist: DegreeDistribution, n: int, x: int) -> ExpPoly:
-    """C_t(n, x) = int_0^t Z_u^n e^{-(x+1)u} du for a two-atom degree law.
-
-    For n = 0 this is (1 - e^{-(x+1)t})/(x+1); for n > 0 the binomial
-    expansion of Z^n gives a sum of simple exponential integrals with
-    rates (a-1)(n-j) + (b-1)j + x + 1.
-    """
-    if len(dist.atoms) != 2:
-        raise ValueError(
-            f"c_integral needs a two-atom degree law, got {len(dist.atoms)} atoms"
-        )
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    if x < 0:
-        raise ValueError(f"x must be >= 0, got {x}")
-    (a, pa), (b, pb) = dist.atoms
-    if n == 0:
-        r = x + 1
-        return ExpPoly([(0, 0, Fraction(1, r)), (r, 0, -Fraction(1, r))])
-    terms = []
-    for j in range(n + 1):
-        weight = (
-            comb(n, j)
-            * (pa * Fraction(1, a - 1)) ** (n - j)
-            * (pb * Fraction(1, b - 1)) ** j
-        )
-        r = (a - 1) * (n - j) + (b - 1) * j + x + 1
-        terms.append((0, 0, weight * Fraction(1, r)))
-        terms.append((r, 0, -weight * Fraction(1, r)))
-    return ExpPoly(terms)
-
-
-def two_atom_rho2(dist: DegreeDistribution) -> ExpPoly:
-    """Integral-free closed form of Qrho2 for a two-atom degree law.
-
-    Assembled from C_t(n, x) instead of ExpPoly integration, so it is an
-    independent route to the same function as averaged_densities().Qrho2.
-    """
-    if len(dist.atoms) != 2:
-        raise ValueError(
-            f"two_atom_rho2 needs a two-atom degree law, got {len(dist.atoms)} atoms"
-        )
-    z0 = sum(w * Fraction(1, d - 1) for d, w in dist.atoms)
-    out = ExpPoly.zero()
-    for d0, w in dist.atoms:
-        out = out + _d3(d0).scale(w)
-        for k in range(1, d0 + 1):
-            for i in range(k + 1):
-                coeff = w * comb(d0, k) * comb(k, i) * (-1) ** i * z0 ** (k - i)
-                out = out + c_integral(dist, i, d0).scale(coeff)
-    return out
 
 
 def qd2_quadrature(dist: DegreeDistribution, t: float) -> float:

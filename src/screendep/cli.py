@@ -85,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_.add_argument("--t-atoms", dest="t_atoms", help="theorem 4: degree law of T")
     cmp_.add_argument("--d", type=int, help="theorem 5: regular degree to compare against")
     cmp_.add_argument("--grid", help="theorem 4: t grid")
-    cmp_.add_argument("--out", help="write the JSON report here")
+    cmp_.add_argument("--out", help="write the JSON report here, '-' for stdout")
     cmp_.add_argument("--config", help="JSON config file; flags override its values")
 
     val = sub.add_parser("validate", help="run the acceptance battery")
@@ -127,13 +127,17 @@ def _parse_patterns(text: str) -> tuple[str, ...]:
     return tuple(p.strip() for p in text.split(",") if p.strip())
 
 
-def _emit(curve: DensityCurve, out: str, fmt: str) -> None:
-    text = curve.to_csv_text() if fmt == "csv" else curve.to_json_text()
+def _write(text: str, out: str) -> None:
+    """Write text to the file at out, or to stdout when out is '-'."""
     if out == "-":
         sys.stdout.write(text)
     else:
         with open(out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
+
+
+def _emit(curve: DensityCurve, out: str, fmt: str) -> None:
+    _write(curve.to_csv_text() if fmt == "csv" else curve.to_json_text(), out)
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -232,11 +236,7 @@ def cmd_motives(args: argparse.Namespace) -> int:
         target = system[-1].closed_form
         lines.append(f"\ntarget limit: {target.limit_at_infinity()}")
         text = "\n".join(lines) + "\n"
-    if spec["out"] == "-":
-        sys.stdout.write(text)
-    else:
-        with open(spec["out"], "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+    _write(text, spec["out"])
     return 0
 
 
@@ -267,9 +267,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     if spec.get("out"):
         payload = report.to_json_dict()
         payload["version"] = __version__
-        with open(spec["out"], "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        _write(json.dumps(payload, sort_keys=True, indent=2) + "\n", spec["out"])
     return 0 if report.passed else 1
 
 

@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .analytic import averaged_densities, regular_densities
+from .analytic import averaged_densities, betas, regular_densities
 from .degree import DegreeDistribution, make_regular
 
 GAMMA_PRIME_TOL = 1e-10
@@ -72,28 +72,16 @@ def _status(checks: list[PointCheck]) -> str:
     return "verified" if all(c.passed for c in checks) else "failed"
 
 
-def beta(d: int, k: int) -> Fraction:
-    """beta_k(d) = (d/(d-1))^d C(d,k) d^{-k} / ((d-1)k + d + 1)."""
-    if d < 2:
-        raise ValueError(f"degree must be >= 2, got {d}")
-    if not 0 <= k <= d:
-        raise ValueError(f"k must be in 0..{d}, got {k}")
-    return (
-        Fraction(d, d - 1) ** d
-        * math.comb(d, k)
-        * Fraction(1, d ** k)
-        / ((d - 1) * k + d + 1)
-    )
-
-
 def rho1_limit(d: int) -> Fraction:
     return Fraction(1, d + 1)
 
 
 def rho2_limit(d: int) -> Fraction:
-    return sum((-1) ** k * beta(d, k) for k in range(d + 1)) - Fraction(
-        d, (d + 1) ** 2
-    )
+    return _rho2_limit(d, betas(d))
+
+
+def _rho2_limit(d: int, bs: tuple[Fraction, ...]) -> Fraction:
+    return sum((-1) ** k * b for k, b in enumerate(bs)) - Fraction(d, (d + 1) ** 2)
 
 
 def check_layer_dominance(d_max: int = 50) -> ComparisonReport:
@@ -102,11 +90,11 @@ def check_layer_dominance(d_max: int = 50) -> ComparisonReport:
         raise ValueError(f"d_max must be >= 2, got {d_max}")
     checks = []
     for d in range(2, d_max + 1):
+        bs = betas(d)
         lim1 = rho1_limit(d)
-        lim2 = rho2_limit(d)
-        betas = [beta(d, k) for k in range(d + 1)]
-        decreasing = all(b_next < b for b, b_next in zip(betas, betas[1:]))
-        head = betas[0] - betas[1] + betas[2]
+        lim2 = _rho2_limit(d, bs)
+        decreasing = all(b_next < b for b, b_next in zip(bs, bs[1:]))
+        head = bs[0] - bs[1] + bs[2]
         # for d = 2 the head IS the whole alternating sum; for d >= 3 the
         # dropped tail starts with -beta_3 < 0, so the bound is strict
         tail = lim2 - (head - Fraction(d, (d + 1) ** 2))

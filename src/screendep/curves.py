@@ -11,6 +11,7 @@ a JSON comment, and no writer embeds timestamps.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -86,11 +87,6 @@ class DensityCurve:
     def to_json_text(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
 
-    def write(self, path: str, fmt: str = "csv") -> None:
-        text = self.to_csv_text() if fmt == "csv" else self.to_json_text()
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-
     # -- readers ----------------------------------------------------------
 
     @classmethod
@@ -148,11 +144,13 @@ def curve_from_exact(
 def parse_grid(text: str) -> tuple[float, ...]:
     """Parse a time grid: either 'start:step:stop' or a comma list '0.5,1,2'."""
     text = text.strip()
+    values = tuple(float(p) for p in text.split(":" if ":" in text else ","))
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError(f"grid {text!r} has a non-finite entry")
     if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
+        if len(values) != 3:
             raise ValueError(f"grid {text!r} must be start:step:stop")
-        start, step, stop = (float(p) for p in parts)
+        start, step, stop = values
         if step <= 0 or stop < start:
             raise ValueError(f"bad grid bounds in {text!r}")
         out = []
@@ -164,4 +162,4 @@ def parse_grid(text: str) -> tuple[float, ...]:
             out.append(round(t, 12))
             k += 1
         return tuple(out)
-    return tuple(float(p) for p in text.split(","))
+    return values

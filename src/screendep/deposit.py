@@ -16,9 +16,10 @@ lowest layers, written top layer first: "0101" means layer 4 empty, layer
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
@@ -33,33 +34,6 @@ _GRAPH_STREAM = 0
 _ARRIVAL_STREAM = 1
 
 MAX_TRACKED_LAYERS = 32
-
-
-class RateConformanceError(AssertionError):
-    """A settlement event contradicted the two-layer transition rates."""
-
-
-@dataclass(frozen=True)
-class SiteState:
-    """State of one vertex: arrival count, top height, tracked-layer mask."""
-
-    arrivals: int = 0
-    top: int = 0
-    mask: int = 0
-
-    @property
-    def code(self) -> int:
-        """Two-layer occupancy code m in {0, 1, 2, 3} (bit 0 = layer 1)."""
-        return self.mask & 3
-
-
-def settle_height(site: SiteState, neighbor_tops: Sequence[int]) -> int:
-    """Height at which the next particle arriving at this site settles."""
-    h = site.top
-    for t in neighbor_tops:
-        if t > h:
-            h = t
-    return h + 1
 
 
 def _normalize_pattern(p) -> str:
@@ -98,12 +72,12 @@ class SimConfig:
         object.__setattr__(
             self, "patterns", tuple(_normalize_pattern(p) for p in self.patterns)
         )
-        if self.horizon <= 0:
-            raise ValueError(f"horizon must be positive, got {self.horizon}")
+        if not (math.isfinite(self.horizon) and self.horizon > 0):
+            raise ValueError(f"horizon must be positive and finite, got {self.horizon}")
         if not self.sample_times:
             raise ValueError("at least one sample time is required")
-        if any(t <= 0 for t in self.sample_times):
-            raise ValueError("sample times must be positive")
+        if not all(math.isfinite(t) and t > 0 for t in self.sample_times):
+            raise ValueError(f"sample times must be positive and finite: {self.sample_times}")
         if any(b >= a for a, b in zip(self.sample_times[1:], self.sample_times)):
             raise ValueError(f"sample times must be strictly increasing: {self.sample_times}")
         if self.sample_times[-1] > self.horizon:
@@ -158,18 +132,8 @@ def run_replica(
     rng: np.random.Generator | np.random.SeedSequence | int | None,
     *,
     measured: Sequence[int] | None = None,
-    check_rates: bool = False,
 ) -> ReplicaSnapshot:
-    """Simulate one arrival realization and snapshot it at the sample times.
-
-    With check_rates=True every settlement is checked against the
-    two-layer transition conditions (empty neighborhood creates layer 1;
-    an empty site next to only empty or single-layer-1 neighbors, at least
-    one of the latter, creates layer 2; a singly occupied site with all
-    neighbors empty creates layer 3 on top of its own layer 1; anything
-    else must leave layers 1 and 2 unchanged).  A violation raises
-    RateConformanceError.
-    """
+    """Simulate one arrival realization and snapshot it at the sample times."""
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
     n = graph.vertex_count
@@ -198,20 +162,16 @@ def run_replica(
     for snap_i, bound in enumerate(bounds):
         for e in range(prev, bound):
             v = sites_list[e]
-            nbv = nb[v]
-            if check_rates:
-                _check_transition(v, nbv, arrivals, tops, masks, l_track)
-            else:
-                h = tops[v]
-                for u in nbv:
-                    tu = tops[u]
-                    if tu > h:
-                        h = tu
-                h += 1
-                arrivals[v] += 1
-                tops[v] = h
-                if h <= l_track:
-                    masks[v] |= 1 << (h - 1)
+            h = tops[v]
+            for u in nb[v]:
+                tu = tops[u]
+                if tu > h:
+                    h = tu
+            h += 1
+            arrivals[v] += 1
+            tops[v] = h
+            if h <= l_track:
+                masks[v] |= 1 << (h - 1)
         prev = bound
         for j, v in enumerate(measured):
             out_masks[snap_i, j] = masks[v]
@@ -222,54 +182,6 @@ def run_replica(
         masks=out_masks,
         arrivals=out_arrivals,
     )
-
-
-def _check_transition(v, nbv, arrivals, tops, masks, l_track):
-    """Apply one settlement with the conformance assertions enabled."""
-    m_old = masks[v] & 3
-    all_empty = arrivals[v] == 0 and all(arrivals[u] == 0 for u in nbv)
-    site_empty_layer1_nbr = False
-    if arrivals[v] == 0:
-        ok = True
-        seen_layer1 = False
-        for u in nbv:
-            if arrivals[u] == 0:
-                continue
-            if arrivals[u] == 1 and (masks[u] & 3) == 1:
-                seen_layer1 = True
-            else:
-                ok = False
-                break
-        site_empty_layer1_nbr = ok and seen_layer1
-    lone_with_empty_nbrs = (
-        m_old == 1 and arrivals[v] == 1 and all(arrivals[u] == 0 for u in nbv)
-    )
-    if all_empty:
-        m_pred = 1
-    elif site_empty_layer1_nbr:
-        m_pred = 2
-    elif lone_with_empty_nbrs:
-        m_pred = 3
-    else:
-        m_pred = m_old
-
-    h = tops[v]
-    for u in nbv:
-        tu = tops[u]
-        if tu > h:
-            h = tu
-    h += 1
-    arrivals[v] += 1
-    tops[v] = h
-    if h <= l_track:
-        masks[v] |= 1 << (h - 1)
-
-    m_new = masks[v] & 3
-    if m_new != m_pred:
-        raise RateConformanceError(
-            f"vertex {v}: settlement at height {h} moved two-layer code "
-            f"{m_old} -> {m_new}, transition conditions predicted {m_pred}"
-        )
 
 
 def snapshot_observables(snap: ReplicaSnapshot, config: SimConfig) -> np.ndarray:
@@ -373,9 +285,3 @@ def estimate_densities(
     )
     return DensityCurve(times=config.sample_times, series=series, meta=meta)
 
-
-def estimate_pattern(graph: GraphLike, config: SimConfig, pattern) -> DensityCurve:
-    """Estimate a single pattern frequency (replaces the observable list)."""
-    word = _normalize_pattern(pattern)
-    cfg = replace(config, layers=(), patterns=(word,))
-    return estimate_densities(graph, cfg)

@@ -3,22 +3,20 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
 
 import pytest
 
 from screendep.analytic import (
     averaged_densities,
-    c_integral,
-    d2_rate,
     qd2_quadrature,
     regular_densities,
     s_conditional,
-    two_atom_rho2,
     z_kernel,
 )
 from screendep.degree import DegreeDistribution, make_regular
 from screendep.exppoly import ExpPoly
+
+from oracles import binomial_qd2, c_integral, d2_rate, rho2_display, two_atom_rho2
 
 F = Fraction
 
@@ -85,6 +83,11 @@ def test_alternating_sum_matches_integrated_rate(d):
     assert regular_densities(d).D2 == d2_rate(d).integrate0()
 
 
+def test_rho2_matches_alternating_display():
+    for d in range(2, 51):
+        assert regular_densities(d).rho2 == rho2_display(d)
+
+
 def test_layer_one_dominates_layer_two_on_a_grid():
     for d in (2, 3, 5, 10, 20, 50):
         r = regular_densities(d)
@@ -146,27 +149,6 @@ def test_averaged_rho2_limit_two_three():
     av = averaged_densities(TWO_THREE)
     assert av.Qrho2.limit_at_infinity() == F(85717, 322560)
     assert av.Qrho2.at_zero() == 0
-
-
-def binomial_qd2(dist):
-    """QD2 by the binomial double sum over k and i, one integral per term.
-
-    Expands ((1 + z0 - Z)^{d0} - 1) as sum_{k>=1} C(d0,k) (z0 - Z)^k and
-    (z0 - Z)^k as sum_i C(k,i) (-1)^i z0^{k-i} Z^i: an independent route
-    to the product form that averaged_densities integrates.
-    """
-    z = z_kernel(dist)
-    z0 = z.at_zero()
-    z_pow = [ExpPoly.one()]
-    for _ in range(dist.max_degree):
-        z_pow.append(z_pow[-1] * z)
-    qd2 = ExpPoly.zero()
-    for d0, w in dist.atoms:
-        for k in range(1, d0 + 1):
-            for i in range(k + 1):
-                coeff = w * comb(d0, k) * comb(k, i) * (-1) ** i * z0 ** (k - i)
-                qd2 = qd2 + (z_pow[i] * ExpPoly.exp(d0 + 1)).integrate0().scale(coeff)
-    return qd2
 
 
 @pytest.mark.parametrize(

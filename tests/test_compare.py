@@ -6,9 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from screendep.analytic import averaged_densities, regular_densities
+from screendep.analytic import averaged_densities, betas, regular_densities
 from screendep.compare import (
-    beta,
     check_gf_dominance,
     check_jensen,
     check_layer_dominance,
@@ -22,16 +21,12 @@ F = Fraction
 
 
 def test_beta_values_d2():
-    assert beta(2, 0) == F(4, 3)
-    assert beta(2, 1) == F(1)
-    assert beta(2, 2) == F(1, 5)
+    assert betas(2) == (F(4, 3), F(1), F(1, 5))
 
 
 def test_beta_validation():
     with pytest.raises(ValueError):
-        beta(1, 0)
-    with pytest.raises(ValueError):
-        beta(3, 4)
+        betas(1)
 
 
 def test_limits():
@@ -43,7 +38,8 @@ def test_limits():
 def test_alternating_head_closed_form():
     # beta_0 - beta_1 + beta_2 = (d/(d-1))^d * 2(d-1) / ((d+1)(3d-1))
     for d in range(2, 30):
-        head = beta(d, 0) - beta(d, 1) + beta(d, 2)
+        b = betas(d)
+        head = b[0] - b[1] + b[2]
         assert head == F(d, d - 1) ** d * 2 * (d - 1) / ((d + 1) * (3 * d - 1))
 
 

@@ -89,15 +89,10 @@ def test_json_round_trip_shape():
     }
 
 
-def test_write_is_deterministic(tmp_path):
-    curve = demo_curve()
-    p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    curve.write(str(p1))
-    curve.write(str(p2))
-    assert p1.read_bytes() == p2.read_bytes()
-    pj = tmp_path / "a.json"
-    curve.write(str(pj), fmt="json")
-    assert json.loads(pj.read_text())["meta"]["seed"] == 3
+def test_write_is_deterministic():
+    assert demo_curve().to_csv_text() == demo_curve().to_csv_text()
+    assert demo_curve().to_json_text() == demo_curve().to_json_text()
+    assert json.loads(demo_curve().to_json_text())["meta"]["seed"] == 3
 
 
 def test_curve_from_exact():
@@ -122,6 +117,9 @@ def test_parse_grid():
         parse_grid("1:0:5")
     with pytest.raises(ValueError):
         parse_grid("5:1:1")
+    for bad in ("nan", "0.5,inf", "0:nan:1", "0:0.5:inf"):
+        with pytest.raises(ValueError):
+            parse_grid(bad)
 
 
 # -- command line -----------------------------------------------------------------
@@ -196,6 +194,9 @@ def test_simulate_random_defaults_to_root(capsys):
         ("simulate", "--graph", "regular", "--d", "3", "--times", "1"),
         ("simulate", "--graph", "random", "--R", "4", "--times", "1"),
         ("simulate", "--graph", "cycle", "--n", "3", "--times", "1"),
+        ("simulate", "--graph", "cycle", "--n", "40", "--T", "nan"),
+        ("simulate", "--graph", "cycle", "--n", "40", "--times", "1,nan"),
+        ("simulate", "--graph", "cycle", "--n", "40", "--T", "2", "--times", "1,nan"),
     ],
 )
 def test_simulate_usage_errors(capsys, argv):
@@ -230,6 +231,8 @@ def test_analytic_averaged(capsys):
         ("analytic", "--d", "2", "--atoms", "2:1"),
         ("analytic", "--d", "1"),
         ("analytic", "--d", "2", "--grid", "2:0:1"),
+        ("analytic", "--d", "2", "--grid", "nan"),
+        ("analytic", "--d", "2", "--grid", "0.5,inf"),
     ],
 )
 def test_analytic_usage_errors(capsys, argv):
@@ -290,6 +293,9 @@ def test_compare_theorem_3(tmp_path, capsys):
     data = json.loads(report_path.read_text())
     assert data["passed"] is True
     assert "version" in data
+    code, out, _ = run_cli(capsys, "compare", "--theorem", "3", "--dmax", "10", "--out", "-")
+    assert code == 0
+    assert json.loads(out[out.index("\n{\n") + 1 :]) == data
 
 
 def test_compare_theorem_4(capsys):

@@ -1,4 +1,4 @@
-"""Deposition simulator: settlement rule, rate conformance, estimates."""
+"""Deposition simulator: configuration, settlement against a reference replay, estimates."""
 
 from __future__ import annotations
 
@@ -10,38 +10,16 @@ import pytest
 from screendep.degree import DegreeDistribution
 from screendep.deposit import (
     SimConfig,
-    SiteState,
     estimate_densities,
-    estimate_pattern,
     observable_names,
     run_replica,
-    settle_height,
     snapshot_observables,
 )
 from screendep.graphs import RandomBallSource, build_cycle, build_regular_ball, build_random_ball
 
+from oracles import replay
+
 TWO_THREE = DegreeDistribution.from_pairs({2: "1/2", 3: "1/2"})
-
-
-# -- settlement rule ----------------------------------------------------------
-
-
-def test_settle_height_empty_neighborhood():
-    assert settle_height(SiteState(), []) == 1
-    assert settle_height(SiteState(), [0, 0, 0]) == 1
-
-
-def test_settle_height_blocked_by_tallest_visible_stack():
-    assert settle_height(SiteState(top=2), [0, 1]) == 3
-    assert settle_height(SiteState(top=1), [4, 0]) == 5
-    assert settle_height(SiteState(), [0, 2, 0]) == 3
-
-
-def test_site_code_reads_two_lowest_layers():
-    assert SiteState(mask=0b0000).code == 0
-    assert SiteState(mask=0b0001).code == 1
-    assert SiteState(mask=0b0110).code == 2
-    assert SiteState(mask=0b1011).code == 3
 
 
 # -- configuration -----------------------------------------------------------
@@ -75,6 +53,10 @@ def test_observable_names_order():
         {"horizon": 2.0, "sample_times": (1.0,), "patterns": ("010101010",), "l_track": 8},
         {"horizon": 2.0, "sample_times": (1.0,), "patterns": ("01x1",)},
         {"horizon": 2.0, "sample_times": (1.0,), "measure": "leaves"},
+        {"horizon": math.nan, "sample_times": (1.0,)},
+        {"horizon": math.inf, "sample_times": (1.0,)},
+        {"horizon": 2.0, "sample_times": (1.0, math.nan)},
+        {"horizon": 2.0, "sample_times": (math.nan,)},
     ],
 )
 def test_config_validation(kwargs):
@@ -82,7 +64,7 @@ def test_config_validation(kwargs):
         SimConfig(**kwargs)
 
 
-# -- per-event rate conformance ------------------------------------------------
+# -- settlement rule and per-event rate conformance --------------------------------
 
 
 @pytest.mark.parametrize(
@@ -95,9 +77,16 @@ def test_config_validation(kwargs):
     ids=["cycle", "regular_ball", "random_ball"],
 )
 def test_settlements_conform_to_transition_rates(graph):
-    cfg = SimConfig(horizon=4.0, sample_times=(4.0,), l_track=8)
+    # the reference replay asserts the two-layer transition conditions at
+    # every event; the kernel must then agree with it exactly at every
+    # sample time, including the truncation of heights above l_track
+    cfg = SimConfig(horizon=4.0, sample_times=(1.0, 2.5, 4.0), l_track=4)
+    everyone = range(graph.vertex_count)
     for r in range(8):
-        run_replica(graph, cfg, rng=1000 + r, check_rates=True)
+        masks, arrivals = replay(graph, cfg, seed=1000 + r)
+        snap = run_replica(graph, cfg, rng=1000 + r, measured=everyone)
+        assert np.array_equal(snap.masks, masks)
+        assert np.array_equal(snap.arrivals, arrivals)
 
 
 # -- arrival process -----------------------------------------------------------
@@ -180,23 +169,14 @@ def test_layer_one_density_on_cycle():
 def test_pattern_frequency_long_time_limit():
     # on the cycle the both-layers-occupied frequency tends to 1/9
     g = build_cycle(400)
-    cfg = SimConfig(horizon=8.0, sample_times=(8.0,), replicas=100, seed=9)
-    curve = estimate_pattern(g, cfg, "11")
+    cfg = SimConfig(
+        horizon=8.0, sample_times=(8.0,), replicas=100, seed=9, layers=(), patterns=("11",)
+    )
+    curve = estimate_densities(g, cfg)
     (name, points), = curve.series
     assert name == "pattern:11"
     p = points[0]
     assert abs(p.mean - 1 / 9) < 4 * p.stderr + 0.002
-
-
-def test_estimate_pattern_matches_estimate_densities():
-    g = build_cycle(100)
-    cfg = SimConfig(horizon=2.0, sample_times=(1.0, 2.0), replicas=8, seed=21)
-    via_pattern = estimate_pattern(g, cfg, "01")
-    via_config = estimate_densities(
-        g, SimConfig(horizon=2.0, sample_times=(1.0, 2.0), replicas=8, seed=21,
-                     layers=(), patterns=("01",))
-    )
-    assert via_pattern.series == via_config.series
 
 
 def test_estimates_are_deterministic():
