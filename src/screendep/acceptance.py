@@ -149,7 +149,7 @@ def _curve_vs_exact(
 class AcceptanceSuite:
     """Runs the nine criteria, caching the shared Monte Carlo runs."""
 
-    def __init__(self, seed: int = DEFAULT_SEED, n_jobs: int | None = None):
+    def __init__(self, seed: int = DEFAULT_SEED, n_jobs: int = 1):
         self.seed = seed
         self.n_jobs = n_jobs
         self._cycle_curve: DensityCurve | None = None
@@ -162,7 +162,6 @@ class AcceptanceSuite:
             sample_times=CYCLE_TIMES,
             replicas=CYCLE_REPLICAS,
             seed=self.seed,
-            l_track=8,
             layers=(1, 2),
             patterns=("0101",),
         )

@@ -25,10 +25,10 @@ from .motives import pattern_system, system_json
 SIMULATE_DEFAULTS = {
     "replicas": 100,
     "seed": 0,
-    "l_track": 8,
     "layers": "1,2",
     "patterns": "",
     "buffer": 0,
+    "jobs": 1,
     "format": "csv",
     "out": "-",
 }
@@ -53,11 +53,10 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--times", help="sample times: comma list or start:step:stop")
     sim.add_argument("--replicas", type=int)
     sim.add_argument("--seed", type=int)
-    sim.add_argument("--L-track", type=int, dest="l_track", help="tracked layers per site")
     sim.add_argument("--layers", help="layer densities to report, e.g. '1,2'")
     sim.add_argument("--patterns", help="comma list of top-down binary words, e.g. '0101'")
     sim.add_argument("--measure", choices=("interior", "root"))
-    sim.add_argument("--jobs", type=int, help="parallel workers (default $SCREENDEP_JOBS or 1)")
+    sim.add_argument("--jobs", type=int, help="parallel workers (default 1)")
     sim.add_argument("--out", help="output path, '-' for stdout")
     sim.add_argument("--format", choices=("csv", "json"))
     sim.add_argument("--config", help="JSON config file; flags override its values")
@@ -91,26 +90,36 @@ def build_parser() -> argparse.ArgumentParser:
     val = sub.add_parser("validate", help="run the acceptance battery")
     val.add_argument("--quick", action="store_true", help="exact-algebra subset only")
     val.add_argument("--seed", type=int, default=None)
-    val.add_argument("--jobs", type=int, default=None)
+    val.add_argument("--jobs", type=int, default=1)
     return parser
 
 
 def _merge_config(args: argparse.Namespace, defaults: dict) -> dict:
     """File values underlie flag values; package defaults fill the rest."""
     merged = dict(defaults)
+    flags = {k: v for k, v in vars(args).items() if k not in ("subcommand", "config")}
     config_path = getattr(args, "config", None)
     if config_path:
         with open(config_path, "r", encoding="utf-8") as fh:
             file_values = json.load(fh)
         if not isinstance(file_values, dict):
             raise ValueError(f"config {config_path!r} must hold a JSON object")
+        unknown = sorted(set(file_values) - set(flags))
+        if unknown:
+            raise ValueError(f"config {config_path!r} has unknown keys: {', '.join(unknown)}")
         merged.update(file_values)
-    for key, value in vars(args).items():
-        if key in ("subcommand", "config"):
-            continue
+    for key, value in flags.items():
         if value is not None and value is not False:
             merged[key] = value
     return merged
+
+
+def _int(spec: dict, key: str) -> int:
+    """spec[key], which must be an integer: config files are not truncated."""
+    value = spec[key]
+    if type(value) is not int:
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return value
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
@@ -148,16 +157,16 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if kind == "cycle":
         if spec.get("n") is None:
             raise ValueError("--graph cycle needs --n")
-        graph = build_cycle(int(spec["n"]))
+        graph = build_cycle(_int(spec, "n"))
     elif kind == "regular":
         if spec.get("d") is None or spec.get("radius") is None:
             raise ValueError("--graph regular needs --d and --R")
-        graph = build_regular_ball(int(spec["d"]), int(spec["radius"]), int(spec["buffer"]))
+        graph = build_regular_ball(_int(spec, "d"), _int(spec, "radius"), _int(spec, "buffer"))
     else:
         if spec.get("atoms") is None or spec.get("radius") is None:
             raise ValueError("--graph random needs --atoms and --R")
         dist = parse_atoms(spec["atoms"])
-        graph = RandomBallSource(dist, int(spec["radius"]), int(spec["buffer"]))
+        graph = RandomBallSource(dist, _int(spec, "radius"), _int(spec, "buffer"))
 
     times_text = spec.get("times")
     horizon = spec.get("horizon")
@@ -170,14 +179,13 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     config = SimConfig(
         horizon=float(horizon),
         sample_times=times,
-        replicas=int(spec["replicas"]),
-        seed=int(spec["seed"]),
-        l_track=int(spec["l_track"]),
+        replicas=_int(spec, "replicas"),
+        seed=_int(spec, "seed"),
         layers=_parse_int_list(str(spec["layers"])),
         patterns=_parse_patterns(str(spec["patterns"])),
         measure=measure,
     )
-    curve = estimate_densities(graph, config, n_jobs=spec.get("jobs"))
+    curve = estimate_densities(graph, config, n_jobs=_int(spec, "jobs"))
     meta = dict(curve.meta)
     meta["spec"] = {k: v for k, v in sorted(spec.items()) if k not in ("out", "jobs")}
     curve = DensityCurve(times=curve.times, series=curve.series, meta=meta)
@@ -191,7 +199,7 @@ def cmd_analytic(args: argparse.Namespace) -> int:
         raise ValueError("analytic needs exactly one of --d or --atoms")
     grid = parse_grid(str(spec["grid"]))
     if spec.get("d") is not None:
-        rd = regular_densities(int(spec["d"]))
+        rd = regular_densities(_int(spec, "d"))
         forms = [("layer:1", rd.rho1), ("layer:2", rd.rho2)]
         label = f"regular(d={spec['d']})"
     else:
@@ -242,9 +250,9 @@ def cmd_motives(args: argparse.Namespace) -> int:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     spec = _merge_config(args, {"dmax": 50})
-    theorem = int(spec["theorem"])
+    theorem = _int(spec, "theorem")
     if theorem == 3:
-        report = check_layer_dominance(int(spec["dmax"]))
+        report = check_layer_dominance(_int(spec, "dmax"))
     elif theorem == 4:
         if spec.get("s_atoms") is None or spec.get("t_atoms") is None:
             raise ValueError("--theorem 4 needs --s-atoms and --t-atoms")
@@ -257,7 +265,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     else:
         if spec.get("d") is None or spec.get("s_atoms") is None:
             raise ValueError("--theorem 5 needs --d and --s-atoms")
-        report = check_jensen(int(spec["d"]), parse_atoms(spec["s_atoms"]))
+        report = check_jensen(_int(spec, "d"), parse_atoms(spec["s_atoms"]))
 
     print(f"claim: {report.claim}")
     print(f"params: {json.dumps(report.params, sort_keys=True)}")

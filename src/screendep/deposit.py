@@ -7,17 +7,17 @@ see, including v's own.  The simulator realizes the arrival process
 exactly: the number of arrivals on [0, horizon] is Poisson(n * horizon),
 arrival times are iid uniform, and sites are iid uniform over vertices.
 
-Per vertex we track the arrival count, the top height, and a bitmask of
-the occupied layers up to l_track (bit h - 1 set iff some particle sits at
-height h).  Pattern observables are binary words over a window of the
-lowest layers, written top layer first: "0101" means layer 4 empty, layer
-3 occupied, layer 2 empty, layer 1 occupied.
+Per vertex we track the top height and a bitmask of the occupied layers up
+to the deepest layer an observable reads (bit h - 1 set iff some particle
+sits at height h).  Pattern observables are binary words over a window of
+the lowest layers, written top layer first: "0101" means layer 4 empty,
+layer 3 occupied, layer 2 empty, layer 1 occupied.
 """
 
 from __future__ import annotations
 
 import math
-import os
+import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence, Union
@@ -61,7 +61,6 @@ class SimConfig:
     sample_times: tuple[float, ...]
     replicas: int = 100
     seed: int = 0
-    l_track: int = 8
     layers: tuple[int, ...] = (1, 2)
     patterns: tuple[str, ...] = ()
     measure: str = "interior"
@@ -86,29 +85,30 @@ class SimConfig:
             )
         if self.replicas < 1:
             raise ValueError(f"replicas must be >= 1, got {self.replicas}")
-        if not 2 <= self.l_track <= MAX_TRACKED_LAYERS:
-            raise ValueError(f"l_track must be in [2, {MAX_TRACKED_LAYERS}], got {self.l_track}")
+        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         if not self.layers and not self.patterns:
             raise ValueError("nothing to observe: layers and patterns are both empty")
-        if any(not 1 <= k <= self.l_track for k in self.layers):
-            raise ValueError(f"layers {self.layers} must lie in 1..l_track={self.l_track}")
-        for p in self.patterns:
-            if len(p) > self.l_track:
-                raise ValueError(
-                    f"pattern {p!r} needs {len(p)} tracked layers, l_track={self.l_track}"
-                )
+        if any(k < 1 for k in self.layers):
+            raise ValueError(f"layers must be >= 1, got {self.layers}")
+        if self.depth > MAX_TRACKED_LAYERS:
+            raise ValueError(f"observables read layer {self.depth} > {MAX_TRACKED_LAYERS}")
         if self.measure not in ("interior", "root"):
             raise ValueError(f"measure must be 'interior' or 'root', got {self.measure!r}")
+
+    @property
+    def depth(self) -> int:
+        """The number of tracked layers: the deepest one an observable reads."""
+        return max((*self.layers, *(len(p) for p in self.patterns)))
 
 
 @dataclass(frozen=True)
 class ReplicaSnapshot:
-    """Per-vertex mask and arrival-count snapshots at the sample times."""
+    """Per-vertex mask snapshots at the sample times."""
 
     sample_times: tuple[float, ...]
     measured: tuple[int, ...]
     masks: np.ndarray
-    arrivals: np.ndarray
 
 
 def observable_names(config: SimConfig) -> tuple[str, ...]:
@@ -126,6 +126,42 @@ def _measured_vertices(graph: GraphInstance, config: SimConfig) -> tuple[int, ..
     return graph.interior
 
 
+def _arrival_stream(n: int, config: SimConfig, rng: np.random.Generator) -> tuple[list, list]:
+    """Arrival sites on n vertices in time order, and per sample time the
+    number of arrivals at or before it."""
+    n_events = rng.poisson(n * config.horizon)
+    times = np.sort(rng.random(n_events)) * config.horizon
+    sites = rng.integers(0, n, size=n_events)
+    bounds = np.searchsorted(times, np.asarray(config.sample_times), side="right")
+    return sites.tolist(), bounds.tolist()
+
+
+def _settle(neighbors, sites: list, bounds: list, measured, depth: int) -> list[list[int]]:
+    """Settle the arrivals in order; the measured masks after each bound.
+
+    A particle arriving at v settles one above the tallest stack in v's
+    closed neighborhood.  Masks keep layers 1..depth only.
+    """
+    tops = [0] * len(neighbors)
+    masks = [0] * len(neighbors)
+    rows = []
+    prev = 0
+    for bound in bounds:
+        for v in sites[prev:bound]:
+            h = tops[v]
+            for u in neighbors[v]:
+                tu = tops[u]
+                if tu > h:
+                    h = tu
+            h += 1
+            tops[v] = h
+            if h <= depth:
+                masks[v] |= 1 << (h - 1)
+        prev = bound
+        rows.append([masks[v] for v in measured])
+    return rows
+
+
 def run_replica(
     graph: GraphInstance,
     config: SimConfig,
@@ -133,54 +169,28 @@ def run_replica(
     *,
     measured: Sequence[int] | None = None,
 ) -> ReplicaSnapshot:
-    """Simulate one arrival realization and snapshot it at the sample times."""
+    """Simulate one arrival realization and snapshot it at the sample times.
+
+    A cycle must have at least 2 * depth + 1 vertices: the lowest depth
+    layers at a vertex are decided by the arrivals within distance depth,
+    and on a smaller cycle that neighborhood wraps around onto itself.
+    """
+    depth = config.depth
+    if graph.kind == "cycle" and graph.vertex_count < 2 * depth + 1:
+        raise ValueError(
+            f"{graph.label} is too small for layer {depth}: needs n >= {2 * depth + 1}"
+        )
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
-    n = graph.vertex_count
-    nb = graph.neighbors
     if measured is None:
         measured = _measured_vertices(graph, config)
     measured = tuple(measured)
-
-    n_events = rng.poisson(n * config.horizon)
-    times = np.sort(rng.random(n_events)) * config.horizon
-    sites = rng.integers(0, n, size=n_events)
-
-    bounds = np.searchsorted(times, np.asarray(config.sample_times), side="right")
-
-    arrivals = [0] * n
-    tops = [0] * n
-    masks = [0] * n
-    l_track = config.l_track
-
-    n_times = len(config.sample_times)
-    out_masks = np.zeros((n_times, len(measured)), dtype=np.int64)
-    out_arrivals = np.zeros((n_times, len(measured)), dtype=np.int64)
-
-    prev = 0
-    sites_list = sites.tolist()
-    for snap_i, bound in enumerate(bounds):
-        for e in range(prev, bound):
-            v = sites_list[e]
-            h = tops[v]
-            for u in nb[v]:
-                tu = tops[u]
-                if tu > h:
-                    h = tu
-            h += 1
-            arrivals[v] += 1
-            tops[v] = h
-            if h <= l_track:
-                masks[v] |= 1 << (h - 1)
-        prev = bound
-        for j, v in enumerate(measured):
-            out_masks[snap_i, j] = masks[v]
-            out_arrivals[snap_i, j] = arrivals[v]
+    sites, bounds = _arrival_stream(graph.vertex_count, config, rng)
+    masks = _settle(graph.neighbors, sites, bounds, measured, depth)
     return ReplicaSnapshot(
         sample_times=config.sample_times,
         measured=measured,
-        masks=out_masks,
-        arrivals=out_arrivals,
+        masks=np.array(masks, dtype=np.int64),
     )
 
 
@@ -221,18 +231,10 @@ def _replica_task(args) -> np.ndarray:
     return snapshot_observables(snap, config)
 
 
-def _resolve_jobs(n_jobs: int | None) -> int:
-    if n_jobs is None:
-        n_jobs = int(os.environ.get("SCREENDEP_JOBS", "1"))
-    if n_jobs < 1:
-        raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
-    return n_jobs
-
-
 def estimate_densities(
     graph: GraphLike,
     config: SimConfig,
-    n_jobs: int | None = None,
+    n_jobs: int = 1,
 ) -> DensityCurve:
     """Monte Carlo estimate of the configured observables.
 
@@ -245,7 +247,8 @@ def estimate_densities(
     spawn_key=(r, 1) for arrivals, so results are reproducible and
     independent of scheduling; the reduction order over replicas is fixed.
     """
-    n_jobs = _resolve_jobs(n_jobs)
+    if n_jobs < 1:
+        raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
     names = observable_names(config)
     reps = config.replicas
     tasks = [(graph, config, r) for r in range(reps)]
@@ -269,7 +272,6 @@ def estimate_densities(
         "measure": config.measure,
         "replicas": reps,
         "seed": config.seed,
-        "l_track": config.l_track,
         "horizon": config.horizon,
         "version": __version__,
     }

@@ -12,6 +12,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate
+from typing import Callable
 
 import numpy as np
 
@@ -82,21 +83,8 @@ def build_cycle(n: int) -> GraphInstance:
     )
 
 
-def _finish_ball(kind: str, adj: list[list[int]], depth: list[int],
-                 radius: int, buffer: int, label: str) -> GraphInstance:
-    cut = radius - buffer
-    interior = tuple(v for v, dep in enumerate(depth) if dep <= cut)
-    return GraphInstance(
-        kind=kind,
-        neighbors=tuple(tuple(nb) for nb in adj),
-        interior=interior,
-        root=0,
-        depth=tuple(depth),
-        label=label,
-    )
-
-
-def _validate_ball_params(radius: int, buffer: int) -> None:
+def _ball_label(kind: str, params: str, radius: int, buffer: int) -> str:
+    """The label of a ball, after checking that it leaves an interior."""
     if radius < 1:
         raise ValueError(f"radius must be >= 1, got {radius}")
     if buffer < 0:
@@ -105,6 +93,37 @@ def _validate_ball_params(radius: int, buffer: int) -> None:
         raise ValueError(
             f"buffer {buffer} must be < radius {radius} to leave an interior"
         )
+    return f"{kind}({params},R={radius},B={buffer})"
+
+
+def _grow_ball(
+    kind: str, params: str, radius: int, buffer: int, child_count: Callable[[int], int]
+) -> GraphInstance:
+    """Grow a tree breadth-first from root 0, asking child_count(v) once per
+    vertex above depth `radius` in the order vertices are numbered."""
+    label = _ball_label(kind, params, radius, buffer)
+    adj: list[list[int]] = [[]]
+    depth = [0]
+    frontier = [0]
+    for dep in range(radius):
+        next_frontier = []
+        for v in frontier:
+            for _ in range(child_count(v)):
+                w = len(adj)
+                adj.append([v])
+                adj[v].append(w)
+                depth.append(dep + 1)
+                next_frontier.append(w)
+        frontier = next_frontier
+    cut = radius - buffer
+    return GraphInstance(
+        kind=kind,
+        neighbors=tuple(tuple(nb) for nb in adj),
+        interior=tuple(v for v, dep in enumerate(depth) if dep <= cut),
+        root=0,
+        depth=tuple(depth),
+        label=label,
+    )
 
 
 def build_regular_ball(d: int, radius: int, buffer: int = 0) -> GraphInstance:
@@ -115,24 +134,8 @@ def build_regular_ball(d: int, radius: int, buffer: int = 0) -> GraphInstance:
     """
     if d < 2:
         raise ValueError(f"regular tree needs d >= 2, got {d}")
-    _validate_ball_params(radius, buffer)
-    adj: list[list[int]] = [[]]
-    depth = [0]
-    frontier = [0]
-    for dep in range(radius):
-        next_frontier = []
-        for v in frontier:
-            n_children = d if v == 0 else d - 1
-            for _ in range(n_children):
-                w = len(adj)
-                adj.append([v])
-                adj[v].append(w)
-                depth.append(dep + 1)
-                next_frontier.append(w)
-        frontier = next_frontier
-    return _finish_ball(
-        "regular_ball", adj, depth, radius, buffer,
-        f"regular_ball(d={d},R={radius},B={buffer})",
+    return _grow_ball(
+        "regular_ball", f"d={d}", radius, buffer, lambda v: d if v == 0 else d - 1
     )
 
 
@@ -150,34 +153,17 @@ def build_random_ball(
     degrees are drawn in that order, so the instance is a deterministic
     function of the seed.
     """
-    _validate_ball_params(radius, buffer)
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
     degs = [d for d, _ in dist.atoms]
     cum = list(accumulate(float(w) for _, w in dist.atoms))
     cum[-1] = 1.0
 
-    def draw_degree() -> int:
-        return degs[bisect_left(cum, rng.random())]
+    def child_count(v: int) -> int:
+        degree = degs[bisect_left(cum, rng.random())]
+        return degree if v == 0 else degree - 1
 
-    adj: list[list[int]] = [[]]
-    depth = [0]
-    frontier = [0]
-    for dep in range(radius):
-        next_frontier = []
-        for v in frontier:
-            n_children = draw_degree() if v == 0 else draw_degree() - 1
-            for _ in range(n_children):
-                w = len(adj)
-                adj.append([v])
-                adj[v].append(w)
-                depth.append(dep + 1)
-                next_frontier.append(w)
-        frontier = next_frontier
-    return _finish_ball(
-        "random_ball", adj, depth, radius, buffer,
-        f"random_ball({dist.label()},R={radius},B={buffer})",
-    )
+    return _grow_ball("random_ball", dist.label(), radius, buffer, child_count)
 
 
 @dataclass(frozen=True)
@@ -194,11 +180,11 @@ class RandomBallSource:
     buffer: int = 0
 
     def __post_init__(self):
-        _validate_ball_params(self.radius, self.buffer)
+        self.label  # raises on a ball without an interior
 
     def build(self, rng: np.random.Generator | np.random.SeedSequence | int | None) -> GraphInstance:
         return build_random_ball(self.dist, self.radius, self.buffer, rng)
 
     @property
     def label(self) -> str:
-        return f"random_ball({self.dist.label()},R={self.radius},B={self.buffer})"
+        return _ball_label("random_ball", self.dist.label(), self.radius, self.buffer)

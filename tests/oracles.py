@@ -155,18 +155,16 @@ def _predicted_code(site: list[int], nbrs: list[list[int]]) -> int:
     return _code(site)
 
 
-def replay(
-    graph: GraphInstance, config: SimConfig, seed: int
-) -> tuple[np.ndarray, np.ndarray]:
+def replay(graph: GraphInstance, config: SimConfig, seed: int) -> np.ndarray:
     """Replay one replica event by event, asserting every transition.
 
     Draws the arrival stream the way deposit.run_replica does (Poisson
     event count, sorted uniform times, uniform integer sites) but keeps
     each vertex's whole stack of settlement heights.  A particle settles one
     above the highest stack in its closed neighborhood.  Returns the masks
-    (occupied heights up to l_track) and arrival counts of every vertex at
-    each sample time, both of shape (n_times, n); a sample time includes
-    the events at or before it.
+    (occupied heights up to config.depth) of every vertex at each sample
+    time, shape (n_times, n); a sample time includes the events at or
+    before it.
     """
     rng = np.random.default_rng(seed)
     n = graph.vertex_count
@@ -176,14 +174,10 @@ def replay(
 
     stacks: list[list[int]] = [[] for _ in range(n)]
     masks: list[list[int]] = []
-    arrivals: list[list[int]] = []
     pending = list(config.sample_times)
 
     def snapshot() -> None:
-        masks.append(
-            [sum(1 << (h - 1) for h in s if h <= config.l_track) for s in stacks]
-        )
-        arrivals.append([len(s) for s in stacks])
+        masks.append([sum(1 << (h - 1) for h in s if h <= config.depth) for s in stacks])
         pending.pop(0)
 
     for t, v in zip(times.tolist(), sites.tolist()):
@@ -198,4 +192,4 @@ def replay(
         )
     while pending:
         snapshot()
-    return np.array(masks, dtype=np.int64), np.array(arrivals, dtype=np.int64)
+    return np.array(masks, dtype=np.int64)

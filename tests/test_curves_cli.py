@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from screendep.analytic import regular_densities
-from screendep.cli import main
+from screendep.cli import build_parser, main
 from screendep.curves import (
     CSV_COLUMNS,
     DensityCurve,
@@ -197,6 +199,9 @@ def test_simulate_random_defaults_to_root(capsys):
         ("simulate", "--graph", "cycle", "--n", "40", "--T", "nan"),
         ("simulate", "--graph", "cycle", "--n", "40", "--times", "1,nan"),
         ("simulate", "--graph", "cycle", "--n", "40", "--T", "2", "--times", "1,nan"),
+        ("simulate", "--graph", "cycle", "--n", "5", "--times", "1", "--layers", "3"),
+        ("simulate", "--graph", "cycle", "--n", "8", "--times", "1", "--patterns", "0101"),
+        ("simulate", "--graph", "cycle", "--n", "40", "--times", "1", "--jobs", "0"),
     ],
 )
 def test_simulate_usage_errors(capsys, argv):
@@ -355,12 +360,54 @@ def test_config_file_merge(tmp_path, capsys):
     assert curve.meta["graph"] == "cycle(n=30)"
 
 
+@pytest.mark.parametrize(
+    "file_values, key",
+    [
+        ({"replicas": 2.7}, "replicas"),
+        ({"replicas": "3"}, "replicas"),
+        ({"replicas": True}, "replicas"),
+        ({"n": 30.0}, "n"),
+        ({"jobs": 1.5}, "jobs"),
+        ({"seed": -1}, "seed"),
+        ({"replica": 9}, "replica"),
+        ({"l_track": 3}, "l_track"),
+    ],
+)
+def test_config_file_values_are_checked(tmp_path, capsys, file_values, key):
+    # a count is never truncated and a key that names no option is never
+    # echoed into the output as if it had been used
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"graph": "cycle", "n": 30, "times": "1", **file_values}))
+    code, out, err = run_cli(capsys, "simulate", "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert key in err
+
+
 def test_config_file_must_hold_an_object(tmp_path, capsys):
     cfg = tmp_path / "run.json"
     cfg.write_text("[1, 2]")
     code, _, err = run_cli(capsys, "simulate", "--config", str(cfg))
     assert code == 2
     assert "error:" in err
+
+
+def test_readme_commands_parse():
+    # every `screendep ...` line of the README's sh blocks must parse, so a
+    # removed flag cannot linger in the docs
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    blocks = re.findall(r"```sh\n(.*?)```", readme, re.S)
+    lines = [
+        line for block in blocks for line in block.replace("\\\n", " ").splitlines()
+        if line.startswith("screendep ")
+    ]
+    assert len(lines) >= 10
+    parser = build_parser()
+    for line in lines:
+        try:
+            parser.parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {line}")
 
 
 def test_validate_quick(capsys):

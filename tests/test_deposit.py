@@ -9,7 +9,10 @@ import pytest
 
 from screendep.degree import DegreeDistribution
 from screendep.deposit import (
+    MAX_TRACKED_LAYERS,
     SimConfig,
+    _arrival_stream,
+    _settle,
     estimate_densities,
     observable_names,
     run_replica,
@@ -36,6 +39,13 @@ def test_observable_names_order():
     assert observable_names(cfg) == ("layer:1", "layer:2", "pattern:11")
 
 
+def test_depth_is_the_deepest_observed_layer():
+    assert SimConfig(horizon=1.0, sample_times=(1.0,)).depth == 2
+    assert SimConfig(horizon=1.0, sample_times=(1.0,), layers=(3, 1)).depth == 3
+    cfg = SimConfig(horizon=1.0, sample_times=(1.0,), layers=(1,), patterns=("0101",))
+    assert cfg.depth == 4
+
+
 @pytest.mark.parametrize(
     "kwargs",
     [
@@ -46,17 +56,18 @@ def test_observable_names_order():
         {"horizon": 2.0, "sample_times": (2.0, 1.0)},
         {"horizon": 2.0, "sample_times": (1.0, 3.0)},
         {"horizon": 2.0, "sample_times": (1.0,), "replicas": 0},
-        {"horizon": 2.0, "sample_times": (1.0,), "l_track": 1},
-        {"horizon": 2.0, "sample_times": (1.0,), "l_track": 64},
+        {"horizon": 2.0, "sample_times": (1.0,), "seed": -1},
+        {"horizon": 2.0, "sample_times": (1.0,), "layers": (MAX_TRACKED_LAYERS + 1,)},
         {"horizon": 2.0, "sample_times": (1.0,), "layers": (), "patterns": ()},
-        {"horizon": 2.0, "sample_times": (1.0,), "layers": (9,), "l_track": 8},
-        {"horizon": 2.0, "sample_times": (1.0,), "patterns": ("010101010",), "l_track": 8},
+        {"horizon": 2.0, "sample_times": (1.0,), "layers": (0, 1)},
+        {"horizon": 2.0, "sample_times": (1.0,), "patterns": ("0" * (MAX_TRACKED_LAYERS + 1),)},
         {"horizon": 2.0, "sample_times": (1.0,), "patterns": ("01x1",)},
         {"horizon": 2.0, "sample_times": (1.0,), "measure": "leaves"},
         {"horizon": math.nan, "sample_times": (1.0,)},
         {"horizon": math.inf, "sample_times": (1.0,)},
         {"horizon": 2.0, "sample_times": (1.0, math.nan)},
         {"horizon": 2.0, "sample_times": (math.nan,)},
+        {"horizon": 2.0, "sample_times": (1.0,), "seed": 1.5},
     ],
 )
 def test_config_validation(kwargs):
@@ -79,14 +90,40 @@ def test_config_validation(kwargs):
 def test_settlements_conform_to_transition_rates(graph):
     # the reference replay asserts the two-layer transition conditions at
     # every event; the kernel must then agree with it exactly at every
-    # sample time, including the truncation of heights above l_track
-    cfg = SimConfig(horizon=4.0, sample_times=(1.0, 2.5, 4.0), l_track=4)
+    # sample time, including the truncation of heights above the depth, 4
+    cfg = SimConfig(horizon=4.0, sample_times=(1.0, 2.5, 4.0), patterns=("0101",))
     everyone = range(graph.vertex_count)
     for r in range(8):
-        masks, arrivals = replay(graph, cfg, seed=1000 + r)
         snap = run_replica(graph, cfg, rng=1000 + r, measured=everyone)
-        assert np.array_equal(snap.masks, masks)
-        assert np.array_equal(snap.arrivals, arrivals)
+        assert np.array_equal(snap.masks, replay(graph, cfg, seed=1000 + r))
+
+
+def _root_masks_on_ball(radius, sites, bounds, depth):
+    """Root masks from the arrivals that land in the radius-`radius` ball of T_3."""
+    ball = build_regular_ball(3, radius)
+    inside = np.asarray(sites) < ball.vertex_count
+    kept = np.concatenate(([0], np.cumsum(inside)))[bounds].tolist()
+    sub = np.asarray(sites)[inside].tolist()
+    return np.array(_settle(ball.neighbors, sub, kept, (0,), depth))
+
+
+def test_light_cone_decides_the_lowest_layers():
+    # the lowest L layers at a vertex depend only on the arrivals within
+    # distance L of it.  Breadth-first numbering makes the radius-L ball the
+    # first vertices of the radius-9 ball, so dropping every arrival outside
+    # it must leave the root's lowest L layers exactly as they were.
+    big = build_regular_ball(3, 9)
+    cfg = SimConfig(horizon=3.0, sample_times=(0.5, 1.0, 2.0, 3.0))
+    too_small = 0
+    for seed in range(100):
+        sites, bounds = _arrival_stream(big.vertex_count, cfg, np.random.default_rng(seed))
+        full = np.array(_settle(big.neighbors, sites, bounds, (0,), 4))
+        for depth in range(1, 5):
+            low = full & ((1 << depth) - 1)
+            assert np.array_equal(_root_masks_on_ball(depth, sites, bounds, depth), low)
+        # negative control: the radius-1 ball does not decide layer 2
+        too_small += not np.array_equal(_root_masks_on_ball(1, sites, bounds, 2), full & 3)
+    assert too_small > 0
 
 
 # -- arrival process -----------------------------------------------------------
@@ -95,11 +132,10 @@ def test_settlements_conform_to_transition_rates(graph):
 def test_arrival_counts_are_poisson():
     # with iid uniform sites and a Poisson(n*T) event total, per-vertex
     # counts are independent Poisson(T); chi-square at T = 2, 6 dof
-    g = build_cycle(1000)
     cfg = SimConfig(horizon=2.0, sample_times=(2.0,), layers=(1,))
-    snap = run_replica(g, cfg, rng=5)
-    counts = snap.arrivals[0]
-    assert counts.sum() > 0
+    sites, bounds = _arrival_stream(1000, cfg, np.random.default_rng(5))
+    assert bounds == [len(sites)] and sites
+    counts = np.bincount(sites, minlength=1000)
     cells = [0] * 7
     for c in counts.tolist():
         cells[min(c, 6)] += 1
@@ -115,9 +151,8 @@ def test_snapshots_are_cumulative():
     cfg = SimConfig(horizon=3.0, sample_times=(0.5, 1.0, 2.0, 3.0))
     snap = run_replica(g, cfg, rng=11)
     for i in range(3):
-        # occupied layers and arrival counts only grow
+        # occupied layers only grow
         assert np.all(snap.masks[i] & ~snap.masks[i + 1] == 0)
-        assert np.all(snap.arrivals[i] <= snap.arrivals[i + 1])
 
 
 def test_layer_one_sites_form_an_independent_set():
@@ -133,12 +168,25 @@ def test_layer_one_sites_form_an_independent_set():
             assert not np.any(bit1 & np.roll(bit1, 1))
 
 
-def test_mask_respects_l_track():
+def test_masks_stay_below_depth():
+    # layers 1 and 2 give depth 2: settling the same stream untruncated
+    # reaches higher layers, and truncation drops exactly those bits
     g = build_cycle(30)
-    cfg = SimConfig(horizon=12.0, sample_times=(12.0,), l_track=2, layers=(1, 2))
+    cfg = SimConfig(horizon=12.0, sample_times=(12.0,), layers=(1, 2))
     snap = run_replica(g, cfg, rng=2)
-    assert np.all(snap.masks[0] < 4)
-    assert snap.arrivals[0].sum() > 30 * 6  # plenty of settlements above layer 2
+    sites, bounds = _arrival_stream(30, cfg, np.random.default_rng(2))
+    deep = np.array(_settle(g.neighbors, sites, bounds, range(30), MAX_TRACKED_LAYERS))
+    assert np.all(snap.masks < 1 << cfg.depth)
+    assert np.count_nonzero(deep >= 1 << cfg.depth) > 10
+    assert np.array_equal(snap.masks, deep & 3)
+
+
+def test_small_cycle_is_rejected():
+    # a cycle shorter than the depth-L light cone, 2L + 1 vertices, wraps around
+    cfg = SimConfig(horizon=1.0, sample_times=(1.0,), layers=(3,))
+    with pytest.raises(ValueError, match="n >= 7"):
+        run_replica(build_cycle(6), cfg, rng=0)
+    assert run_replica(build_cycle(7), cfg, rng=0).masks.shape == (1, 7)
 
 
 def test_measured_override():
