@@ -122,6 +122,14 @@ def _int(spec: dict, key: str) -> int:
     return value
 
 
+def _float(spec: dict, key: str) -> float:
+    """spec[key], which must be a number: config files are not coerced."""
+    value = spec[key]
+    if type(value) not in (int, float):
+        raise ValueError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
 def _parse_int_list(text: str) -> tuple[int, ...]:
     text = text.strip()
     if not text:
@@ -169,15 +177,15 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         graph = RandomBallSource(dist, _int(spec, "radius"), _int(spec, "buffer"))
 
     times_text = spec.get("times")
-    horizon = spec.get("horizon")
+    horizon = _float(spec, "horizon") if spec.get("horizon") is not None else None
     if times_text is None and horizon is None:
         raise ValueError("simulate needs --times and/or --T")
-    times = parse_grid(str(times_text)) if times_text is not None else (float(horizon),)
+    times = parse_grid(str(times_text)) if times_text is not None else (horizon,)
     if horizon is None:
         horizon = times[-1]
     measure = spec.get("measure") or ("root" if kind == "random" else "interior")
     config = SimConfig(
-        horizon=float(horizon),
+        horizon=horizon,
         sample_times=times,
         replicas=_int(spec, "replicas"),
         seed=_int(spec, "seed"),

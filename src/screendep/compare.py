@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .analytic import averaged_densities, betas, regular_densities
-from .degree import DegreeDistribution, make_regular
+from .degree import DegreeDistribution
 
 GAMMA_PRIME_TOL = 1e-10
 CONVEXITY_TOL = -1e-12
@@ -266,10 +266,3 @@ def check_jensen(
         status=_status(checks),
         checks=tuple(checks),
     )
-
-
-def regular_pair(d_small: int, d_large: int) -> tuple[DegreeDistribution, DegreeDistribution]:
-    """Degree laws for the classic corollary: T_{d'} dominates T_d when d' < d."""
-    if not 2 <= d_small < d_large:
-        raise ValueError(f"need 2 <= d_small < d_large, got {d_small}, {d_large}")
-    return make_regular(d_small), make_regular(d_large)

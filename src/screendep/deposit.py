@@ -12,12 +12,20 @@ to the deepest layer an observable reads (bit h - 1 set iff some particle
 sits at height h).  Pattern observables are binary words over a window of
 the lowest layers, written top layer first: "0101" means layer 4 empty,
 layer 3 occupied, layer 2 empty, layer 1 occupied.
+
+The lowest L layers at a vertex are decided by the arrivals within
+distance L of it (its light cone).  On a ball, whose vertices are numbered
+breadth-first, the light cones of the measured vertices lie in a prefix of
+the vertex ids; the arrival stream is drawn over every vertex and then
+only the arrivals in that prefix are settled, so the outputs are exactly
+those of settling them all.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence, Union
@@ -126,13 +134,37 @@ def _measured_vertices(graph: GraphInstance, config: SimConfig) -> tuple[int, ..
     return graph.interior
 
 
-def _arrival_stream(n: int, config: SimConfig, rng: np.random.Generator) -> tuple[list, list]:
+def _light_cone(graph: GraphInstance, measured: tuple[int, ...], depth: int) -> int:
+    """How many leading vertex ids hold every arrival that can reach the
+    lowest `depth` layers of a measured vertex: all of them on a graph
+    without depths.
+
+    A vertex within distance `depth` of v lies at most `depth` levels below
+    v, and breadth-first numbering puts every vertex down to that level first.
+    """
+    if graph.depth is None:
+        return graph.vertex_count
+    reach = max((graph.depth[v] for v in measured), default=0) + depth
+    return bisect_right(graph.depth, reach)
+
+
+def _arrival_stream(
+    n: int, config: SimConfig, rng: np.random.Generator, cone: int | None = None
+) -> tuple[list, list]:
     """Arrival sites on n vertices in time order, and per sample time the
-    number of arrivals at or before it."""
+    number of arrivals at or before it.
+
+    The stream is drawn over all n vertices; with cone < n only the arrivals
+    at sites below cone are returned, and the counts are of those.
+    """
     n_events = rng.poisson(n * config.horizon)
     times = np.sort(rng.random(n_events)) * config.horizon
     sites = rng.integers(0, n, size=n_events)
     bounds = np.searchsorted(times, np.asarray(config.sample_times), side="right")
+    if cone is not None and cone < n:
+        inside = sites < cone
+        bounds = np.concatenate(([0], np.cumsum(inside)))[bounds]
+        sites = sites[inside]
     return sites.tolist(), bounds.tolist()
 
 
@@ -171,9 +203,12 @@ def run_replica(
 ) -> ReplicaSnapshot:
     """Simulate one arrival realization and snapshot it at the sample times.
 
-    A cycle must have at least 2 * depth + 1 vertices: the lowest depth
-    layers at a vertex are decided by the arrivals within distance depth,
-    and on a smaller cycle that neighborhood wraps around onto itself.
+    The lowest depth layers at a vertex are decided by the arrivals within
+    distance depth of it.  On a ball only the arrivals in the measured
+    vertices' light cone are settled; the stream is drawn over every vertex
+    all the same, so the masks equal those of settling every arrival.  A
+    cycle must have at least 2 * depth + 1 vertices: on a smaller one that
+    neighborhood wraps around onto itself.
     """
     depth = config.depth
     if graph.kind == "cycle" and graph.vertex_count < 2 * depth + 1:
@@ -185,7 +220,8 @@ def run_replica(
     if measured is None:
         measured = _measured_vertices(graph, config)
     measured = tuple(measured)
-    sites, bounds = _arrival_stream(graph.vertex_count, config, rng)
+    cone = _light_cone(graph, measured, depth)
+    sites, bounds = _arrival_stream(graph.vertex_count, config, rng, cone)
     masks = _settle(graph.neighbors, sites, bounds, measured, depth)
     return ReplicaSnapshot(
         sample_times=config.sample_times,

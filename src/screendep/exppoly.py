@@ -12,7 +12,6 @@ with no floating-point tolerance.
 
 from __future__ import annotations
 
-import json
 import math
 from fractions import Fraction
 from typing import Iterable, Union
@@ -303,16 +302,9 @@ class ExpPoly:
             "terms": [[str(a), k, str(c)] for a, k, c in self._terms],
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict())
-
     @classmethod
     def from_json_dict(cls, data: dict) -> "ExpPoly":
         return cls((a, int(k), c) for a, k, c in data["terms"])
-
-    @classmethod
-    def from_json(cls, s: str) -> "ExpPoly":
-        return cls.from_json_dict(json.loads(s))
 
     # -- equality -------------------------------------------------------
 

@@ -24,8 +24,12 @@ class GraphInstance:
     """Immutable adjacency view of one finite graph.
 
     neighbors[v] lists the neighbors of vertex v.  root and depth are None
-    for graphs without a distinguished center (cycles).  interior holds the
-    vertex ids on which observables are averaged.
+    for graphs without a distinguished center (cycles).  depth[v] is the
+    distance from the root, with vertices numbered breadth-first: the root
+    is at depth 0, depths never decrease with the id, and no neighbor of a
+    vertex is more than one level deeper.  The simulator relies on this to
+    find a light cone as a prefix of ids, so all three are checked.
+    interior holds the vertex ids on which observables are averaged.
     """
 
     kind: str
@@ -46,14 +50,27 @@ class GraphInstance:
                 raise ValueError(f"interior vertex {v} out of range")
         if self.root is not None and not 0 <= self.root < n:
             raise ValueError(f"root {self.root} out of range")
+        depth = self.depth
+        if depth is None:
+            return
+        if len(depth) != n:
+            raise ValueError(f"depth has {len(depth)} entries for {n} vertices")
+        if self.root is None:
+            raise ValueError("depth needs a root")
+        if depth[self.root] != 0:
+            raise ValueError(f"root {self.root} has depth {depth[self.root]}, not 0")
+        if list(depth) != sorted(depth):
+            raise ValueError("depth must be nondecreasing: vertices are numbered breadth-first")
+        for dv, nb in zip(depth, self.neighbors):
+            for u in nb:
+                if depth[u] > dv + 1:
+                    raise ValueError(
+                        f"vertex {u} at depth {depth[u]} neighbors a vertex at depth {dv}"
+                    )
 
     @property
     def vertex_count(self) -> int:
         return len(self.neighbors)
-
-    @property
-    def edge_count(self) -> int:
-        return sum(len(nb) for nb in self.neighbors) // 2
 
     def degree(self, v: int) -> int:
         return len(self.neighbors[v])

@@ -11,7 +11,6 @@ from screendep.compare import (
     check_gf_dominance,
     check_jensen,
     check_layer_dominance,
-    regular_pair,
     rho1_limit,
     rho2_limit,
 )
@@ -64,7 +63,7 @@ def test_layer_dominance_validation():
 
 
 def test_gf_dominance_regular_pair():
-    s, t = regular_pair(2, 3)
+    s, t = make_regular(2), make_regular(3)
     report = check_gf_dominance(s, t)
     assert report.passed
     labels = [c.label for c in report.checks]
@@ -77,7 +76,7 @@ def test_gf_dominance_regular_pair():
 
 
 def test_gf_dominance_hypothesis_violated():
-    s, t = regular_pair(2, 3)
+    s, t = make_regular(2), make_regular(3)
     report = check_gf_dominance(t, s)  # reversed: G_T3 < G_T2 on (0,1)
     assert report.status == "hypothesis-violated"
     assert not report.passed
@@ -88,13 +87,6 @@ def test_gf_dominance_hypothesis_violated():
 def test_gf_dominance_equal_laws_violate_strictness():
     d = make_regular(3)
     assert check_gf_dominance(d, d).status == "hypothesis-violated"
-
-
-def test_regular_pair_validation():
-    with pytest.raises(ValueError):
-        regular_pair(3, 3)
-    with pytest.raises(ValueError):
-        regular_pair(1, 4)
 
 
 def test_jensen_point_mass_is_exact_equality():

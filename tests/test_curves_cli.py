@@ -347,7 +347,7 @@ def test_compare_usage_errors(capsys, argv):
 def test_config_file_merge(tmp_path, capsys):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({
-        "graph": "cycle", "n": 30, "times": "1,2", "replicas": 3, "seed": 11,
+        "graph": "cycle", "n": 30, "times": "1,2", "horizon": 2, "replicas": 3, "seed": 11,
     }))
     code, out, err = run_cli(
         capsys, "simulate", "--config", str(cfg), "--replicas", "5"
@@ -358,6 +358,8 @@ def test_config_file_merge(tmp_path, capsys):
     assert curve.meta["spec"]["replicas"] == 5
     assert curve.meta["spec"]["seed"] == 11
     assert curve.meta["graph"] == "cycle(n=30)"
+    # a JSON integer is a number of time units
+    assert curve.meta["horizon"] == 2.0
 
 
 @pytest.mark.parametrize(
@@ -371,11 +373,14 @@ def test_config_file_merge(tmp_path, capsys):
         ({"seed": -1}, "seed"),
         ({"replica": 9}, "replica"),
         ({"l_track": 3}, "l_track"),
+        ({"horizon": True}, "horizon"),
+        ({"horizon": "2"}, "horizon"),
     ],
 )
 def test_config_file_values_are_checked(tmp_path, capsys, file_values, key):
-    # a count is never truncated and a key that names no option is never
-    # echoed into the output as if it had been used
+    # a count is never truncated, a time is never coerced from a string or
+    # a boolean, and a key that names no option is never echoed into the
+    # output as if it had been used
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"graph": "cycle", "n": 30, "times": "1", **file_values}))
     code, out, err = run_cli(capsys, "simulate", "--config", str(cfg))

@@ -84,27 +84,39 @@ def test_config_validation(kwargs):
         build_cycle(60),
         build_regular_ball(3, radius=5, buffer=1),
         build_random_ball(TWO_THREE, radius=6, buffer=1, rng=3),
+        build_regular_ball(3, radius=7, buffer=5),
     ],
-    ids=["cycle", "regular_ball", "random_ball"],
+    ids=["cycle", "regular_ball", "random_ball", "regular_ball_wide_buffer"],
 )
 def test_settlements_conform_to_transition_rates(graph):
     # the reference replay asserts the two-layer transition conditions at
     # every event; the kernel must then agree with it exactly at every
-    # sample time, including the truncation of heights above the depth, 4
+    # sample time, including the truncation of heights above the depth, 4.
+    # The replay settles every arrival, so measuring the interior alone
+    # checks the kernel's light-cone filter as well.
     cfg = SimConfig(horizon=4.0, sample_times=(1.0, 2.5, 4.0), patterns=("0101",))
     everyone = range(graph.vertex_count)
+    interior = list(graph.interior)
     for r in range(8):
+        reference = replay(graph, cfg, seed=1000 + r)
         snap = run_replica(graph, cfg, rng=1000 + r, measured=everyone)
-        assert np.array_equal(snap.masks, replay(graph, cfg, seed=1000 + r))
+        assert np.array_equal(snap.masks, reference)
+        snap = run_replica(graph, cfg, rng=1000 + r, measured=interior)
+        assert np.array_equal(snap.masks, reference[:, interior])
+
+
+def _prefix_masks(neighbors, cone, sites, bounds, measured, depth):
+    """Measured masks when only the arrivals at vertex ids below cone settle."""
+    inside = np.asarray(sites) < cone
+    kept = np.concatenate(([0], np.cumsum(inside)))[bounds].tolist()
+    sub = np.asarray(sites)[inside].tolist()
+    return np.array(_settle(neighbors, sub, kept, measured, depth))
 
 
 def _root_masks_on_ball(radius, sites, bounds, depth):
     """Root masks from the arrivals that land in the radius-`radius` ball of T_3."""
     ball = build_regular_ball(3, radius)
-    inside = np.asarray(sites) < ball.vertex_count
-    kept = np.concatenate(([0], np.cumsum(inside)))[bounds].tolist()
-    sub = np.asarray(sites)[inside].tolist()
-    return np.array(_settle(ball.neighbors, sub, kept, (0,), depth))
+    return _prefix_masks(ball.neighbors, ball.vertex_count, sites, bounds, (0,), depth)
 
 
 def test_light_cone_decides_the_lowest_layers():
@@ -123,6 +135,42 @@ def test_light_cone_decides_the_lowest_layers():
             assert np.array_equal(_root_masks_on_ball(depth, sites, bounds, depth), low)
         # negative control: the radius-1 ball does not decide layer 2
         too_small += not np.array_equal(_root_masks_on_ball(1, sites, bounds, 2), full & 3)
+    assert too_small > 0
+
+
+@pytest.mark.parametrize(
+    "build, measure, seeds",
+    [
+        (lambda seed: build_regular_ball(3, radius=7, buffer=4), "interior", 30),
+        (lambda seed: build_random_ball(TWO_THREE, radius=8, buffer=4, rng=seed), "interior", 30),
+        # a single vertex rarely needs layer 4's whole cone: 10 of the first
+        # 300 seeds do, so the control needs more of them
+        (lambda seed: build_random_ball(TWO_THREE, radius=8, buffer=4, rng=seed), "root", 200),
+    ],
+    ids=["regular_interior", "random_interior", "random_root"],
+)
+@pytest.mark.parametrize(
+    "observed", [{}, {"layers": (1,), "patterns": ("0101",)}], ids=["depth2", "depth4"]
+)
+def test_light_cone_filter_is_exact(build, measure, seeds, observed):
+    # run_replica settles only the arrivals within distance depth of a
+    # measured vertex; its masks must equal those of settling every arrival
+    # of the same stream, at every sample time.  Negative control: the cone
+    # one level shallower misses arrivals that matter.
+    cfg = SimConfig(horizon=4.0, sample_times=(0.5, 1.0, 2.0, 4.0), measure=measure, **observed)
+    too_small = 0
+    for seed in range(seeds):
+        graph = build(seed)
+        measured = graph.interior if measure == "interior" else (graph.root,)
+        sites, bounds = _arrival_stream(graph.vertex_count, cfg, np.random.default_rng(seed))
+        full = np.array(_settle(graph.neighbors, sites, bounds, measured, cfg.depth))
+        snap = run_replica(graph, cfg, rng=seed)
+        assert snap.measured == tuple(measured)
+        assert np.array_equal(snap.masks, full)
+        reach = max(graph.depth[v] for v in measured) + cfg.depth
+        shallower = sum(d < reach for d in graph.depth)
+        short = _prefix_masks(graph.neighbors, shallower, sites, bounds, measured, cfg.depth)
+        too_small += not np.array_equal(short, full)
     assert too_small > 0
 
 

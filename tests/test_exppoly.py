@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 from fractions import Fraction
 
@@ -222,7 +223,7 @@ def test_render():
 
 def test_json_round_trip():
     f = ep((F(1, 2), 2, F(-7, 3)), (0, 0, 4))
-    assert ExpPoly.from_json(f.to_json()) == f
+    assert ExpPoly.from_json_dict(json.loads(json.dumps(f.to_json_dict()))) == f
 
 
 # -- term budget ---------------------------------------------------------------

@@ -16,10 +16,18 @@ from screendep.graphs import (
 )
 
 
+def _edge_count(g: GraphInstance) -> int:
+    return sum(len(nb) for nb in g.neighbors) // 2
+
+
+def _edges_join_adjacent_depths(g: GraphInstance) -> bool:
+    return all(abs(g.depth[u] - g.depth[v]) == 1 for v, nb in enumerate(g.neighbors) for u in nb)
+
+
 def test_cycle_structure():
     g = build_cycle(7)
     assert g.vertex_count == 7
-    assert g.edge_count == 7
+    assert _edge_count(g) == 7
     assert all(g.degree(v) == 2 for v in range(7))
     assert g.neighbors[0] == (6, 1)
     assert g.neighbors[3] == (2, 4)
@@ -38,11 +46,12 @@ def test_regular_ball_counts():
     # has 1 + d * (2^R - 1) vertices when d = 3
     g = build_regular_ball(3, radius=12, buffer=4)
     assert g.vertex_count == 1 + 3 * (2 ** 12 - 1) == 12286
-    assert g.edge_count == g.vertex_count - 1
+    assert _edge_count(g) == g.vertex_count - 1
     assert len(g.interior) == 1 + 3 * (2 ** 8 - 1) == 766
     assert g.root == 0
     assert g.depth[0] == 0
     assert max(g.depth) == 12
+    assert _edges_join_adjacent_depths(g)
 
 
 def test_regular_ball_degrees():
@@ -89,12 +98,38 @@ def test_graph_instance_validation():
         GraphInstance(kind="x", neighbors=((1,), (0,)), interior=(0,), root=9)
 
 
+PATH3 = ((1,), (0, 2), (1,))
+
+
+@pytest.mark.parametrize(
+    "neighbors, root, depth, message",
+    [
+        (((1,), (0,)), 0, (5,), "1 entries for 2 vertices"),
+        (PATH3, None, (0, 1, 2), "needs a root"),
+        (PATH3, 1, (0, 1, 2), "root 1 has depth 1"),
+        (PATH3, 0, (0, 2, 1), "nondecreasing"),
+        (((1, 2), (0,), (0,)), 0, (0, 1, 2), "vertex 2 at depth 2 neighbors a vertex at depth 0"),
+    ],
+    ids=[
+        "one_entry_per_vertex", "root_required", "root_at_depth_0", "breadth_first",
+        "neighbors_one_level_apart",
+    ],
+)
+def test_depth_is_validated(neighbors, root, depth, message):
+    # the simulator reads a light cone as a prefix of the vertex ids, which
+    # holds only for distances from a root numbered breadth-first
+    with pytest.raises(ValueError, match=message):
+        GraphInstance(kind="x", neighbors=neighbors, interior=(0,), root=root, depth=depth)
+    assert GraphInstance(kind="x", neighbors=PATH3, interior=(0,), root=0, depth=(0, 1, 2))
+
+
 TWO_THREE = DegreeDistribution.from_pairs({2: "1/3", 3: "2/3"})
 
 
 def test_random_ball_is_a_tree_with_drawn_degrees():
     g = build_random_ball(TWO_THREE, radius=8, buffer=2, rng=1)
-    assert g.edge_count == g.vertex_count - 1
+    assert _edge_count(g) == g.vertex_count - 1
+    assert _edges_join_adjacent_depths(g)
     assert g.root == 0
     assert max(g.depth) <= 8
     for v in range(g.vertex_count):
