@@ -107,6 +107,9 @@ def _merge_config(args: argparse.Namespace, defaults: dict) -> dict:
         unknown = sorted(set(file_values) - set(flags))
         if unknown:
             raise ValueError(f"config {config_path!r} has unknown keys: {', '.join(unknown)}")
+        options = _options(args.subcommand)
+        for key, value in file_values.items():
+            _check_file_value(key, value, options[key])
         merged.update(file_values)
     for key, value in flags.items():
         if value is not None and value is not False:
@@ -114,27 +117,43 @@ def _merge_config(args: argparse.Namespace, defaults: dict) -> dict:
     return merged
 
 
-def _int(spec: dict, key: str) -> int:
-    """spec[key], which must be an integer: config files are not truncated."""
-    value = spec[key]
-    if type(value) is not int:
-        raise ValueError(f"{key} must be an integer, got {value!r}")
-    return value
+def _options(subcommand: str) -> dict[str, argparse.Action]:
+    """The options of a subcommand, keyed by their destination."""
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {a.dest: a for a in sub.choices[subcommand]._actions}
 
 
-def _float(spec: dict, key: str) -> float:
-    """spec[key], which must be a number: config files are not coerced."""
-    value = spec[key]
-    if type(value) not in (int, float):
-        raise ValueError(f"{key} must be a number, got {value!r}")
-    return float(value)
+def _check_file_value(key: str, value, action: argparse.Action) -> None:
+    """Reject a config file value that lacks the JSON type of its flag.
+
+    An integer flag takes an integer, a float flag a number, a switch true
+    or false, and every other flag a string; a flag with choices takes one
+    of them.  Nothing is coerced.
+    """
+    if action.type is int:
+        ok, kind = type(value) is int, "an integer"
+    elif action.type is float:
+        ok, kind = type(value) in (int, float), "a number"
+    elif action.nargs == 0:
+        ok, kind = type(value) is bool, "true or false"
+    else:
+        ok, kind = type(value) is str, "a string"
+    if not ok:
+        raise ValueError(f"{key} must be {kind}, got {value!r}")
+    if action.choices is not None and value not in action.choices:
+        choices = ", ".join(map(str, action.choices))
+        raise ValueError(f"{key} must be one of {choices}, got {value!r}")
 
 
-def _parse_int_list(text: str) -> tuple[int, ...]:
+def _parse_layers(text: str) -> tuple[int, ...]:
     text = text.strip()
     if not text:
         return ()
-    return tuple(int(p) for p in text.split(","))
+    try:
+        return tuple(int(p) for p in text.split(","))
+    except ValueError:
+        raise ValueError(f"layers must be a comma list of integers, got {text!r}") from None
 
 
 def _parse_patterns(text: str) -> tuple[str, ...]:
@@ -165,35 +184,35 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if kind == "cycle":
         if spec.get("n") is None:
             raise ValueError("--graph cycle needs --n")
-        graph = build_cycle(_int(spec, "n"))
+        graph = build_cycle(spec["n"])
     elif kind == "regular":
         if spec.get("d") is None or spec.get("radius") is None:
             raise ValueError("--graph regular needs --d and --R")
-        graph = build_regular_ball(_int(spec, "d"), _int(spec, "radius"), _int(spec, "buffer"))
+        graph = build_regular_ball(spec["d"], spec["radius"], spec["buffer"])
     else:
         if spec.get("atoms") is None or spec.get("radius") is None:
             raise ValueError("--graph random needs --atoms and --R")
         dist = parse_atoms(spec["atoms"])
-        graph = RandomBallSource(dist, _int(spec, "radius"), _int(spec, "buffer"))
+        graph = RandomBallSource(dist, spec["radius"], spec["buffer"])
 
     times_text = spec.get("times")
-    horizon = _float(spec, "horizon") if spec.get("horizon") is not None else None
+    horizon = float(spec["horizon"]) if spec.get("horizon") is not None else None
     if times_text is None and horizon is None:
         raise ValueError("simulate needs --times and/or --T")
-    times = parse_grid(str(times_text)) if times_text is not None else (horizon,)
+    times = parse_grid(times_text) if times_text is not None else (horizon,)
     if horizon is None:
         horizon = times[-1]
     measure = spec.get("measure") or ("root" if kind == "random" else "interior")
     config = SimConfig(
         horizon=horizon,
         sample_times=times,
-        replicas=_int(spec, "replicas"),
-        seed=_int(spec, "seed"),
-        layers=_parse_int_list(str(spec["layers"])),
-        patterns=_parse_patterns(str(spec["patterns"])),
+        replicas=spec["replicas"],
+        seed=spec["seed"],
+        layers=_parse_layers(spec["layers"]),
+        patterns=_parse_patterns(spec["patterns"]),
         measure=measure,
     )
-    curve = estimate_densities(graph, config, n_jobs=_int(spec, "jobs"))
+    curve = estimate_densities(graph, config, n_jobs=spec["jobs"])
     meta = dict(curve.meta)
     meta["spec"] = {k: v for k, v in sorted(spec.items()) if k not in ("out", "jobs")}
     curve = DensityCurve(times=curve.times, series=curve.series, meta=meta)
@@ -205,9 +224,9 @@ def cmd_analytic(args: argparse.Namespace) -> int:
     spec = _merge_config(args, {"grid": "0.25:0.25:10", "format": "csv", "out": "-"})
     if (spec.get("d") is None) == (spec.get("atoms") is None):
         raise ValueError("analytic needs exactly one of --d or --atoms")
-    grid = parse_grid(str(spec["grid"]))
+    grid = parse_grid(spec["grid"])
     if spec.get("d") is not None:
-        rd = regular_densities(_int(spec, "d"))
+        rd = regular_densities(spec["d"])
         forms = [("layer:1", rd.rho1), ("layer:2", rd.rho2)]
         label = f"regular(d={spec['d']})"
     else:
@@ -229,7 +248,7 @@ def cmd_motives(args: argparse.Namespace) -> int:
     system = pattern_system(pattern)
     fmt = spec["format"]
     if spec.get("grid"):
-        grid = parse_grid(str(spec["grid"]))
+        grid = parse_grid(spec["grid"])
         meta = {
             "graph": "line",
             "version": __version__,
@@ -258,22 +277,22 @@ def cmd_motives(args: argparse.Namespace) -> int:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     spec = _merge_config(args, {"dmax": 50})
-    theorem = _int(spec, "theorem")
+    theorem = spec["theorem"]
     if theorem == 3:
-        report = check_layer_dominance(_int(spec, "dmax"))
+        report = check_layer_dominance(spec["dmax"])
     elif theorem == 4:
         if spec.get("s_atoms") is None or spec.get("t_atoms") is None:
             raise ValueError("--theorem 4 needs --s-atoms and --t-atoms")
         kwargs = {}
         if spec.get("grid"):
-            kwargs["t_grid"] = parse_grid(str(spec["grid"]))
+            kwargs["t_grid"] = parse_grid(spec["grid"])
         report = check_gf_dominance(
             parse_atoms(spec["s_atoms"]), parse_atoms(spec["t_atoms"]), **kwargs
         )
     else:
         if spec.get("d") is None or spec.get("s_atoms") is None:
             raise ValueError("--theorem 5 needs --d and --s-atoms")
-        report = check_jensen(_int(spec, "d"), parse_atoms(spec["s_atoms"]))
+        report = check_jensen(spec["d"], parse_atoms(spec["s_atoms"]))
 
     print(f"claim: {report.claim}")
     print(f"params: {json.dumps(report.params, sort_keys=True)}")

@@ -7,11 +7,12 @@ see, including v's own.  The simulator realizes the arrival process
 exactly: the number of arrivals on [0, horizon] is Poisson(n * horizon),
 arrival times are iid uniform, and sites are iid uniform over vertices.
 
-Per vertex we track the top height and a bitmask of the occupied layers up
-to the deepest layer an observable reads (bit h - 1 set iff some particle
-sits at height h).  Pattern observables are binary words over a window of
-the lowest layers, written top layer first: "0101" means layer 4 empty,
-layer 3 occupied, layer 2 empty, layer 1 occupied.
+Per vertex we track the top height, exact below the deepest layer an
+observable reads, and a bitmask of the occupied layers up to that layer
+(bit h - 1 set iff some particle sits at height h).  Pattern observables
+are binary words over a window of the lowest layers, written top layer
+first: "0101" means layer 4 empty, layer 3 occupied, layer 2 empty,
+layer 1 occupied.
 
 The lowest L layers at a vertex are decided by the arrivals within
 distance L of it (its light cone).  On a ball, whose vertices are numbered
@@ -19,6 +20,14 @@ breadth-first, the light cones of the measured vertices lie in a prefix of
 the vertex ids; the arrival stream is drawn over every vertex and then
 only the arrivals in that prefix are settled, so the outputs are exactly
 those of settling them all.
+
+Within the light cone the kernel also skips every arrival at a saturated
+vertex, one whose stack already reaches the deepest tracked layer.  Each
+settlement raises a top by at least one, so such an arrival settles above
+that layer; and a neighbor that sees it already sees a stack at that
+layer, so it settles above the layer either way.  The tops truncated at
+the tracked depth therefore follow the same path with or without these
+arrivals, and so do the masks.
 """
 
 from __future__ import annotations
@@ -54,6 +63,10 @@ def _normalize_pattern(p) -> str:
     return word
 
 
+def _is_integer(x) -> bool:
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Run parameters for a deposition estimate.
@@ -75,6 +88,8 @@ class SimConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "sample_times", tuple(float(t) for t in self.sample_times))
+        if not all(_is_integer(k) for k in self.layers):
+            raise ValueError(f"layers must be integers, got {self.layers!r}")
         object.__setattr__(self, "layers", tuple(int(k) for k in self.layers))
         object.__setattr__(
             self, "patterns", tuple(_normalize_pattern(p) for p in self.patterns)
@@ -91,9 +106,9 @@ class SimConfig:
             raise ValueError(
                 f"last sample time {self.sample_times[-1]} exceeds horizon {self.horizon}"
             )
-        if self.replicas < 1:
-            raise ValueError(f"replicas must be >= 1, got {self.replicas}")
-        if not (isinstance(self.seed, numbers.Integral) and self.seed >= 0):
+        if not (_is_integer(self.replicas) and self.replicas >= 1):
+            raise ValueError(f"replicas must be an integer >= 1, got {self.replicas!r}")
+        if not (_is_integer(self.seed) and self.seed >= 0):
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         if not self.layers and not self.patterns:
             raise ValueError("nothing to observe: layers and patterns are both empty")
@@ -173,6 +188,12 @@ def _settle(neighbors, sites: list, bounds: list, measured, depth: int) -> list[
 
     A particle arriving at v settles one above the tallest stack in v's
     closed neighborhood.  Masks keep layers 1..depth only.
+
+    An arrival at a vertex whose top is already at depth or above is
+    skipped: it would settle above depth and set no mask bit, and every
+    neighbor that reads this top already lands above depth.  So tops are
+    exact below depth, a top >= depth only means "saturated", and the
+    masks are those of settling every arrival.
     """
     tops = [0] * len(neighbors)
     masks = [0] * len(neighbors)
@@ -181,6 +202,8 @@ def _settle(neighbors, sites: list, bounds: list, measured, depth: int) -> list[
     for bound in bounds:
         for v in sites[prev:bound]:
             h = tops[v]
+            if h >= depth:
+                continue
             for u in neighbors[v]:
                 tu = tops[u]
                 if tu > h:

@@ -155,16 +155,19 @@ def _predicted_code(site: list[int], nbrs: list[list[int]]) -> int:
     return _code(site)
 
 
-def replay(graph: GraphInstance, config: SimConfig, seed: int) -> np.ndarray:
+def replay(
+    graph: GraphInstance, config: SimConfig, seed: int
+) -> tuple[np.ndarray, list[list[int]]]:
     """Replay one replica event by event, asserting every transition.
 
     Draws the arrival stream the way deposit.run_replica does (Poisson
     event count, sorted uniform times, uniform integer sites) but keeps
-    each vertex's whole stack of settlement heights.  A particle settles one
-    above the highest stack in its closed neighborhood.  Returns the masks
-    (occupied heights up to config.depth) of every vertex at each sample
-    time, shape (n_times, n); a sample time includes the events at or
-    before it.
+    each vertex's whole stack of settlement heights, and settles every
+    arrival.  A particle settles one above the highest stack in its closed
+    neighborhood.  Returns the masks (occupied heights up to config.depth)
+    of every vertex at each sample time, shape (n_times, n), where a sample
+    time includes the events at or before it; and each vertex's stack of
+    heights at the horizon, bottom first.
     """
     rng = np.random.default_rng(seed)
     n = graph.vertex_count
@@ -192,4 +195,4 @@ def replay(graph: GraphInstance, config: SimConfig, seed: int) -> np.ndarray:
         )
     while pending:
         snapshot()
-    return np.array(masks, dtype=np.int64)
+    return np.array(masks, dtype=np.int64), stacks

@@ -375,18 +375,59 @@ def test_config_file_merge(tmp_path, capsys):
         ({"l_track": 3}, "l_track"),
         ({"horizon": True}, "horizon"),
         ({"horizon": "2"}, "horizon"),
+        ({"patterns": 11}, "patterns"),
+        ({"layers": [1, 2]}, "layers"),
+        ({"times": [1, 2]}, "times"),
+        ({"graph": "tree"}, "graph"),
+        ({"format": "xml"}, "format"),
+        ({"layers": "1,x"}, "layers"),
     ],
 )
 def test_config_file_values_are_checked(tmp_path, capsys, file_values, key):
-    # a count is never truncated, a time is never coerced from a string or
-    # a boolean, and a key that names no option is never echoed into the
-    # output as if it had been used
+    # a file value must have the JSON type of the flag it stands for and be
+    # one of its choices: a count is never truncated, a time or a word is
+    # never coerced, an unknown graph or format is never replaced by another,
+    # and a key that names no option is never echoed into the output as if
+    # it had been used
+    _assert_config_rejected(
+        tmp_path, capsys, "simulate", {"graph": "cycle", "n": 30, "times": "1", **file_values}, key
+    )
+
+
+@pytest.mark.parametrize(
+    "command, file_values, key",
+    [
+        ("analytic", {"d": 3, "format": "yaml"}, "format"),
+        ("motives", {"pattern": 101}, "pattern"),
+        ("motives", {"show_closed_form": 1}, "show_closed_form"),
+    ],
+)
+def test_config_file_values_are_checked_in_every_command(
+    tmp_path, capsys, command, file_values, key
+):
+    _assert_config_rejected(tmp_path, capsys, command, file_values, key)
+
+
+def _assert_config_rejected(tmp_path, capsys, command, file_values, key):
     cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({"graph": "cycle", "n": 30, "times": "1", **file_values}))
-    code, out, err = run_cli(capsys, "simulate", "--config", str(cfg))
+    cfg.write_text(json.dumps(file_values))
+    code, out, err = run_cli(capsys, command, "--config", str(cfg))
     assert code == 2
     assert out == ""
     assert key in err
+
+
+def test_config_file_values_of_every_kind(tmp_path, capsys):
+    # a string, an integer, a choice and a switch, each with its JSON type
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"pattern": "0101", "format": "text", "show_closed_form": True}))
+    code, out, err = run_cli(capsys, "motives", "--config", str(cfg))
+    assert code == 0, err
+    assert "closed form:" in out
+    cfg.write_text(json.dumps({"d": 3, "grid": "1:1:2", "format": "json"}))
+    code, out, err = run_cli(capsys, "analytic", "--config", str(cfg))
+    assert code == 0, err
+    assert json.loads(out)["meta"]["spec"]["format"] == "json"
 
 
 def test_config_file_must_hold_an_object(tmp_path, capsys):

@@ -32,6 +32,9 @@ def test_config_normalizes_patterns():
     cfg = SimConfig(horizon=2.0, sample_times=(1, 2), patterns=["0101", (1, 1)])
     assert cfg.patterns == ("0101", "11")
     assert cfg.sample_times == (1.0, 2.0)
+    # numpy integers count as integers, and layers become Python ints
+    cfg = SimConfig(horizon=1.0, sample_times=(1.0,), layers=(np.int64(2),), replicas=np.int64(3))
+    assert cfg.layers == (2,) and type(cfg.layers[0]) is int
 
 
 def test_observable_names_order():
@@ -68,6 +71,11 @@ def test_depth_is_the_deepest_observed_layer():
         {"horizon": 2.0, "sample_times": (1.0, math.nan)},
         {"horizon": 2.0, "sample_times": (math.nan,)},
         {"horizon": 2.0, "sample_times": (1.0,), "seed": 1.5},
+        {"horizon": 2.0, "sample_times": (1.0,), "seed": True},
+        {"horizon": 2.0, "sample_times": (1.0,), "layers": (1.7, 2)},
+        {"horizon": 2.0, "sample_times": (1.0,), "layers": (True,)},
+        {"horizon": 2.0, "sample_times": (1.0,), "replicas": 2.5},
+        {"horizon": 2.0, "sample_times": (1.0,), "replicas": "3"},
     ],
 )
 def test_config_validation(kwargs):
@@ -78,31 +86,52 @@ def test_config_validation(kwargs):
 # -- settlement rule and per-event rate conformance --------------------------------
 
 
+_DEPTH4 = {"patterns": ("0101",)}
+
+
 @pytest.mark.parametrize(
-    "graph",
+    "graph, horizon, observed",
     [
-        build_cycle(60),
-        build_regular_ball(3, radius=5, buffer=1),
-        build_random_ball(TWO_THREE, radius=6, buffer=1, rng=3),
-        build_regular_ball(3, radius=7, buffer=5),
+        (build_cycle(60), 4.0, _DEPTH4),
+        (build_regular_ball(3, radius=5, buffer=1), 4.0, _DEPTH4),
+        (build_random_ball(TWO_THREE, radius=6, buffer=1, rng=3), 4.0, _DEPTH4),
+        (build_regular_ball(3, radius=7, buffer=5), 4.0, _DEPTH4),
+        (build_cycle(60), 12.0, {}),
+        (build_cycle(60), 12.0, _DEPTH4),
+        (build_regular_ball(3, radius=5, buffer=1), 12.0, {}),
+        (build_regular_ball(3, radius=5, buffer=1), 12.0, _DEPTH4),
     ],
-    ids=["cycle", "regular_ball", "random_ball", "regular_ball_wide_buffer"],
+    ids=[
+        "cycle", "regular_ball", "random_ball", "regular_ball_wide_buffer",
+        "cycle_saturated_depth2", "cycle_saturated_depth4",
+        "regular_ball_saturated_depth2", "regular_ball_saturated_depth4",
+    ],
 )
-def test_settlements_conform_to_transition_rates(graph):
+def test_settlements_conform_to_transition_rates(graph, horizon, observed):
     # the reference replay asserts the two-layer transition conditions at
     # every event; the kernel must then agree with it exactly at every
-    # sample time, including the truncation of heights above the depth, 4.
+    # sample time, including the truncation of heights above the depth.
     # The replay settles every arrival, so measuring the interior alone
-    # checks the kernel's light-cone filter as well.
-    cfg = SimConfig(horizon=4.0, sample_times=(1.0, 2.5, 4.0), patterns=("0101",))
+    # checks the kernel's light-cone filter as well, and the long runs
+    # check its skip of arrivals at saturated vertices, which the replay
+    # never skips.
+    times = tuple(horizon * f for f in (0.25, 0.625, 1.0))
+    cfg = SimConfig(horizon=horizon, sample_times=times, **observed)
     everyone = range(graph.vertex_count)
     interior = list(graph.interior)
+    arrivals = saturated = 0
     for r in range(8):
-        reference = replay(graph, cfg, seed=1000 + r)
+        reference, stacks = replay(graph, cfg, seed=1000 + r)
         snap = run_replica(graph, cfg, rng=1000 + r, measured=everyone)
         assert np.array_equal(snap.masks, reference)
         snap = run_replica(graph, cfg, rng=1000 + r, measured=interior)
         assert np.array_equal(snap.masks, reference[:, interior])
+        # an arrival found the stack at its previous top, the height below
+        arrivals += sum(len(s) for s in stacks)
+        saturated += sum(h >= cfg.depth for s in stacks for h in s[:-1])
+    if horizon > 4.0:
+        # most arrivals take the skip path
+        assert saturated >= arrivals / 2, (saturated, arrivals)
 
 
 def _prefix_masks(neighbors, cone, sites, bounds, measured, depth):
