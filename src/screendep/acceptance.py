@@ -285,7 +285,7 @@ class AcceptanceSuite:
         bad = [r.claim for r in reports if not r.passed]
         if bad:
             return False, f"failed reports: {bad}"
-        return True, "gf dominance (2 pairs), convexity grid, Jensen strict + equality"
+        return True, "gf dominance (2 pairs), Jensen strict + equality, exact for every t > 0"
 
     def criterion_9(self) -> tuple[bool, str]:
         graph = build_cycle(CYCLE_N)

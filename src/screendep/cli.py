@@ -83,7 +83,6 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_.add_argument("--s-atoms", dest="s_atoms", help="theorem 4/5: degree law of S")
     cmp_.add_argument("--t-atoms", dest="t_atoms", help="theorem 4: degree law of T")
     cmp_.add_argument("--d", type=int, help="theorem 5: regular degree to compare against")
-    cmp_.add_argument("--grid", help="theorem 4: t grid")
     cmp_.add_argument("--out", help="write the JSON report here, '-' for stdout")
     cmp_.add_argument("--config", help="JSON config file; flags override its values")
 
@@ -247,6 +246,8 @@ def cmd_motives(args: argparse.Namespace) -> int:
     pattern = spec["pattern"]
     system = pattern_system(pattern)
     fmt = spec["format"]
+    if fmt == "csv" and not spec.get("grid"):
+        raise ValueError("motives --format csv needs --grid")
     if spec.get("grid"):
         grid = parse_grid(spec["grid"])
         meta = {
@@ -283,11 +284,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
     elif theorem == 4:
         if spec.get("s_atoms") is None or spec.get("t_atoms") is None:
             raise ValueError("--theorem 4 needs --s-atoms and --t-atoms")
-        kwargs = {}
-        if spec.get("grid"):
-            kwargs["t_grid"] = parse_grid(spec["grid"])
         report = check_gf_dominance(
-            parse_atoms(spec["s_atoms"]), parse_atoms(spec["t_atoms"]), **kwargs
+            parse_atoms(spec["s_atoms"]), parse_atoms(spec["t_atoms"])
         )
     else:
         if spec.get("d") is None or spec.get("s_atoms") is None:

@@ -1,37 +1,37 @@
 """Machine-checked comparison statements for layer densities.
 
-Three claims are certified, each as a ComparisonReport holding per-point
-verdicts with enough recorded witnesses to re-derive the verdict:
+Three claims are certified, each as a ComparisonReport holding verdicts
+with enough recorded witnesses to re-derive them.  Every step is exact
+rational arithmetic; no float is compared and no tolerance is used.
 
 * layer dominance: on every regular tree the limiting first-layer density
-  1/(d+1) strictly exceeds the limiting second-layer density.  The whole
-  chain is exact rational arithmetic: the alternating coefficients
-  beta_k(d) decrease, the truncation bound, the closed form of
-  beta_0 - beta_1 + beta_2, and the final comparison.
+  1/(d+1) strictly exceeds the limiting second-layer density.  The chain
+  is: the alternating coefficients beta_k(d) decrease, the truncation
+  bound, the closed form of beta_0 - beta_1 + beta_2, and the final
+  comparison.
 
 * generating-function dominance: if G_S > G_T on (0, 1) then the
-  first-layer density on S exceeds the one on T for every t > 0, with
-  the derivative identity gamma'(t) = e^{-t}(G_S(e^{-t}) - G_T(e^{-t}))
-  checked numerically on the grid.
+  first-layer density on S exceeds the one on T for every t > 0.  The
+  derivative identity gamma'(t) = e^{-t}(G_S(e^{-t}) - G_T(e^{-t})) is an
+  exact ExpPoly equality.
 
-* mean-degree convexity: a random tree with mean degree d has
-  first-layer density at least that of the d-regular tree, because
-  k -> (1 - e^{-(k+1)t})/(k+1) is convex in k.
+* Jensen: a random tree with mean degree d has a strictly higher
+  first-layer density than the d-regular tree at every t > 0 (equal
+  densities for the point mass at d).
+
+The "for every t > 0" claims share one sign certificate,
+_positive_for_all_t: each form they read (G_S - G_T, gamma,
+Qrho1_S - rho1_d) is a polynomial in x = e^{-t}, and t > 0 is x in (0, 1).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .analytic import averaged_densities, betas, regular_densities
 from .degree import DegreeDistribution
-
-GAMMA_PRIME_TOL = 1e-10
-CONVEXITY_TOL = -1e-12
-DEFAULT_T_GRID = tuple(0.25 * i for i in range(1, 41))
-DEFAULT_JENSEN_T_GRID = (0.5, 1.0, 2.0, 5.0)
+from .exppoly import ExpPoly
 
 
 @dataclass(frozen=True)
@@ -131,138 +131,141 @@ def check_layer_dominance(d_max: int = 50) -> ComparisonReport:
     )
 
 
+
+
+def _poly_in_x(form: ExpPoly) -> list[Fraction]:
+    """Coefficients of form as a polynomial in x = e^{-t}, leading term first."""
+    coeffs: dict[int, Fraction] = {}
+    for rate, power, c in form.terms:
+        if power != 0 or rate.denominator != 1:
+            raise ValueError(
+                f"not a polynomial in e^(-t): term {c}*t^{power}*exp(-{rate}t)"
+            )
+        coeffs[int(rate)] = c
+    return [coeffs.get(k, Fraction(0)) for k in range(max(coeffs), -1, -1)]
+
+
+def _rem(num: list[Fraction], den: list[Fraction]) -> list[Fraction]:
+    """Remainder of num / den, both leading term first, leading zeros dropped."""
+    num = list(num)
+    while len(num) >= len(den):
+        f = num[0] / den[0]
+        for i in range(1, len(den)):
+            num[i] -= f * den[i]
+        num.pop(0)
+    while num and num[0] == 0:
+        num.pop(0)
+    return num
+
+
+def _sign_changes(values: list[Fraction]) -> int:
+    signs = [v > 0 for v in values if v != 0]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def _positive_for_all_t(form: ExpPoly) -> tuple[bool, dict]:
+    """Certify form(t) > 0 for every t > 0, exactly.
+
+    form must be a polynomial p in x = e^{-t} (power 0, integer rates;
+    otherwise ValueError).  Write p = x^m0 (x - 1)^m1 q with q(0), q(1)
+    nonzero.  The Sturm chain of q counts its distinct roots in (0, 1) as
+    V(0) - V(1), which holds for repeated roots too.  With none, q keeps the sign
+    of q(0) on (0, 1), so p > 0 there exactly when sign(q(0)) (-1)^m1 > 0.
+    The witness records m0, m1, the root count and that sign, which is
+    the sign of p for large t.  The zero form is not positive.
+    """
+    if form.is_zero():
+        return False, {"root_at_0": None, "root_at_1": None, "roots_inside": None, "sign": 0}
+    q = _poly_in_x(form)
+    root_at_0 = 0
+    while q[-1] == 0:
+        q.pop()
+        root_at_0 += 1
+    root_at_1 = 0
+    while sum(q) == 0:
+        # synthetic division by (x - 1); the remainder q(1) is zero
+        quotient = [q[0]]
+        for c in q[1:-1]:
+            quotient.append(c + quotient[-1])
+        q = quotient
+        root_at_1 += 1
+    chain = [q, [c * (len(q) - 1 - i) for i, c in enumerate(q[:-1])]]
+    while chain[-1]:
+        chain.append([-c for c in _rem(chain[-2], chain[-1])])
+    chain.pop()
+    roots_inside = _sign_changes([s[-1] for s in chain]) - _sign_changes(
+        [sum(s) for s in chain]
+    )
+    sign = (1 if q[-1] > 0 else -1) * (-1) ** root_at_1
+    witness = {
+        "root_at_0": root_at_0,
+        "root_at_1": root_at_1,
+        "roots_inside": roots_inside,
+        "sign": sign,
+    }
+    return roots_inside == 0 and sign > 0, witness
+
+
+def _gf_form(dist: DegreeDistribution) -> ExpPoly:
+    """The generating function at x = e^{-t}: sum_k w_k e^{-kt}."""
+    return ExpPoly((k, 0, w) for k, w in dist.atoms)
+
+
 def check_gf_dominance(
-    s_dist: DegreeDistribution,
-    t_dist: DegreeDistribution,
-    t_grid: tuple[float, ...] = DEFAULT_T_GRID,
+    s_dist: DegreeDistribution, t_dist: DegreeDistribution
 ) -> ComparisonReport:
     """Certify first-layer dominance of s_dist over t_dist given G_S > G_T.
 
-    The hypothesis G_S(x) > G_T(x) is checked at x = e^{-t} over the grid;
-    if it fails anywhere the conclusion is left untested and the report
-    status is 'hypothesis-violated'.
+    The hypothesis G_S(x) > G_T(x) on (0, 1), the identity
+    gamma' = e^{-t}(G_S - G_T)(e^{-t}) for gamma = Qrho1_S - Qrho1_T, and
+    the conclusion gamma(t) > 0 for every t > 0 are each certified
+    exactly, with no grid.  If the hypothesis fails, the report holds
+    only that check and its status is 'hypothesis-violated'.
     """
-    params = {
-        "S": s_dist.label(),
-        "T": t_dist.label(),
-        "t_grid": [min(t_grid), max(t_grid), len(t_grid)],
-    }
-    hypothesis = []
-    for t in t_grid:
-        x = math.exp(-t)
-        g_s = s_dist.gen_fun(x)
-        g_t = t_dist.gen_fun(x)
-        hypothesis.append(
-            PointCheck(
-                label=f"hypothesis t={t:g}",
-                passed=g_s > g_t,
-                witness={"s": x, "G_S": g_s, "G_T": g_t},
-            )
-        )
-    if not all(c.passed for c in hypothesis):
-        return ComparisonReport(
-            claim="first-layer density of S exceeds that of T when G_S > G_T on (0,1)",
-            params=params,
-            status="hypothesis-violated",
-            checks=tuple(hypothesis),
-        )
+    claim = "first-layer density of S exceeds that of T when G_S > G_T on (0,1)"
+    params = {"S": s_dist.label(), "T": t_dist.label()}
+    gap = _gf_form(s_dist) - _gf_form(t_dist)
+    held, witness = _positive_for_all_t(gap)
+    hypothesis = PointCheck("hypothesis: G_S - G_T > 0 on (0, 1)", held, witness)
+    if not held:
+        return ComparisonReport(claim, params, "hypothesis-violated", (hypothesis,))
 
-    rho_s = averaged_densities(s_dist).Qrho1
-    rho_t = averaged_densities(t_dist).Qrho1
-    gamma = rho_s - rho_t
-    gamma_prime = gamma.derivative()
-    checks = list(hypothesis)
-    for t in t_grid:
-        x = math.exp(-t)
-        diff = gamma.eval(t)
-        deriv = gamma_prime.eval(t)
-        expected = x * (s_dist.gen_fun(x) - t_dist.gen_fun(x))
-        residual = abs(deriv - expected)
-        checks.append(
-            PointCheck(
-                label=f"conclusion t={t:g}",
-                passed=diff > 0 and residual <= GAMMA_PRIME_TOL,
-                witness={
-                    "gamma": diff,
-                    "gamma_prime": deriv,
-                    "gamma_prime_expected": expected,
-                    "identity_residual": residual,
-                },
-            )
-        )
-    return ComparisonReport(
-        claim="first-layer density of S exceeds that of T when G_S > G_T on (0,1)",
-        params=params,
-        status=_status(checks),
-        checks=tuple(checks),
-    )
+    gamma = averaged_densities(s_dist).Qrho1 - averaged_densities(t_dist).Qrho1
+    identity = gamma.derivative() == gap * ExpPoly.exp(1)
+    positive, witness = _positive_for_all_t(gamma)
+    checks = [
+        hypothesis,
+        PointCheck(
+            "identity: gamma' = e^{-t} (G_S - G_T)(e^{-t})", identity, {"equal": identity}
+        ),
+        PointCheck("conclusion: gamma > 0 for every t > 0", positive, witness),
+    ]
+    return ComparisonReport(claim, params, _status(checks), tuple(checks))
 
 
-def _g(t: float, k: float) -> float:
-    return (1.0 - math.exp(-(k + 1.0) * t)) / (k + 1.0)
+def check_jensen(d: int, s_dist: DegreeDistribution) -> ComparisonReport:
+    """Certify that mean-degree-d randomness raises the first layer.
 
-
-def _g_second_diff(t: float, k: float, h: float = 1e-4) -> float:
-    # Central second difference with one Richardson step.
-    def d2(hh: float) -> float:
-        return (_g(t, k + hh) - 2.0 * _g(t, k) + _g(t, k - hh)) / (hh * hh)
-
-    return (4.0 * d2(h / 2.0) - d2(h)) / 3.0
-
-
-def check_jensen(
-    d: int,
-    s_dist: DegreeDistribution,
-    t_grid: tuple[float, ...] = DEFAULT_JENSEN_T_GRID,
-    k_grid: tuple[float, ...] | None = None,
-) -> ComparisonReport:
-    """Certify that mean-degree-d randomness does not lower the first layer.
-
-    Requires s_dist.mean() == d exactly.  Convexity of
-    g_t(k) = (1 - e^{-(k+1)t})/(k+1) is checked by finite differences over
-    real k in [2, 10]; the density comparison itself is evaluated from the
-    exact closed forms, with exact equality required when s_dist is the
-    point mass at d.
+    Requires s_dist.mean() == d exactly.  For the point mass at d the two
+    closed forms must be equal.  Otherwise Qrho1_S - rho1_d > 0 is
+    certified for every t > 0 with no grid; the witness adds the exact
+    limiting gain sum_k w_k/(k+1) - 1/(d+1), the Jensen gap of 1/(k+1).
     """
     if s_dist.mean() != d:
         raise ValueError(
             f"mean degree of {s_dist.label()} is {s_dist.mean()}, expected {d}"
         )
-    if k_grid is None:
-        k_grid = tuple(2.0 + 0.25 * i for i in range(33))
-    checks = []
-    for t in t_grid:
-        worst = min(_g_second_diff(t, k) for k in k_grid)
-        checks.append(
-            PointCheck(
-                label=f"convexity t={t:g}",
-                passed=worst >= CONVEXITY_TOL,
-                witness={"min_second_derivative": worst, "k_range": [min(k_grid), max(k_grid)]},
-            )
-        )
-    rho_s = averaged_densities(s_dist).Qrho1
-    rho_d = regular_densities(d).rho1
+    gain = averaged_densities(s_dist).Qrho1 - regular_densities(d).rho1
     if s_dist.is_point_mass():
-        checks.append(
-            PointCheck(
-                label="point mass: exact equality",
-                passed=rho_s == rho_d,
-                witness={"equal": rho_s == rho_d},
-            )
-        )
+        equal = gain.is_zero()
+        check = PointCheck("point mass: exact equality", equal, {"equal": equal})
     else:
-        for t in t_grid:
-            gain = rho_s.eval(t) - rho_d.eval(t)
-            checks.append(
-                PointCheck(
-                    label=f"dominance t={t:g}",
-                    passed=gain > 0,
-                    witness={"gain": gain},
-                )
-            )
+        positive, witness = _positive_for_all_t(gain)
+        witness["limit_gain"] = str(gain.limit_at_infinity())
+        check = PointCheck("dominance: Qrho1_S - rho1_d > 0 for every t > 0", positive, witness)
     return ComparisonReport(
         claim="first-layer density of a mean-d random tree is >= the d-regular one",
-        params={"d": d, "S": s_dist.label(), "t_grid": list(t_grid)},
-        status=_status(checks),
-        checks=tuple(checks),
+        params={"d": d, "S": s_dist.label()},
+        status=_status([check]),
+        checks=(check,),
     )

@@ -116,13 +116,8 @@ class DegreeDistribution:
     def moment(self, r: int) -> Fraction:
         return sum(Fraction(d ** r) * w for d, w in self.atoms)
 
-    def gen_fun(self, s: float) -> float:
-        """Probability generating function G(s) = sum_d w_d s^d for s in [0, 1]."""
-        if not 0.0 <= s <= 1.0:
-            raise ValueError(f"gen_fun needs s in [0, 1], got {s}")
-        return float(self.gen_fun_exact(Fraction(s)))
-
     def gen_fun_exact(self, s: Fraction) -> Fraction:
+        """Probability generating function G(s) = sum_d w_d s^d, exactly."""
         return sum(w * s ** d for d, w in self.atoms)
 
     # -- labels and serialization ----------------------------------------

@@ -18,33 +18,18 @@ from typing import Iterable, Union
 
 Rational = Union[int, str, Fraction]
 
-DEFAULT_TERM_BUDGET = 10_000
-
-_term_budget = DEFAULT_TERM_BUDGET
+# Cap on the canonical terms of one expression: products of long sums can
+# blow up combinatorially, and the cap turns a runaway computation into a
+# loud error instead of a hang.
+TERM_BUDGET = 10_000
 
 
 class TermBudgetError(RuntimeError):
-    """Raised when an operation would exceed the configured term budget."""
+    """Raised when an operation would exceed TERM_BUDGET terms."""
 
 
 class DivergentLimitError(ValueError):
     """Raised when limit_at_infinity is asked for a divergent expression."""
-
-
-def set_term_budget(n: int) -> None:
-    """Set the global cap on the number of canonical terms per expression.
-
-    Products of long sums can blow up combinatorially; the budget turns a
-    runaway computation into a loud error instead of a hang.
-    """
-    if n < 1:
-        raise ValueError("term budget must be positive")
-    global _term_budget
-    _term_budget = int(n)
-
-
-def get_term_budget() -> int:
-    return _term_budget
 
 
 def _frac(x: Rational) -> Fraction:
@@ -90,9 +75,9 @@ class ExpPoly:
                 acc.pop(key, None)
             else:
                 acc[key] = tot
-        if len(acc) > _term_budget:
+        if len(acc) > TERM_BUDGET:
             raise TermBudgetError(
-                f"expression has {len(acc)} terms, budget is {_term_budget}"
+                f"expression has {len(acc)} terms, budget is {TERM_BUDGET}"
             )
         self._terms = tuple(
             (a, k, acc[(a, k)]) for a, k in sorted(acc.keys())
@@ -165,10 +150,10 @@ class ExpPoly:
 
     def __mul__(self, other):
         if isinstance(other, ExpPoly):
-            if len(self._terms) * len(other._terms) > _term_budget:
+            if len(self._terms) * len(other._terms) > TERM_BUDGET:
                 raise TermBudgetError(
                     f"product of {len(self._terms)} x {len(other._terms)} terms "
-                    f"exceeds budget {_term_budget}"
+                    f"exceeds budget {TERM_BUDGET}"
                 )
             prod = []
             for a1, k1, c1 in self._terms:

@@ -168,7 +168,7 @@ def pattern_system(pattern: str = "0101") -> tuple[Motive, ...]:
     try:
         builder = _SYSTEM_BUILDERS[pattern]
     except KeyError:
-        raise KeyError(
+        raise ValueError(
             f"no motive system for pattern {pattern!r}; known: {known_patterns()}"
         ) from None
     return builder()

@@ -1,20 +1,24 @@
-"""Certified density comparisons: dominance chains and convexity."""
+"""Certified density comparisons: dominance chains and exact sign certificates."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from screendep.analytic import averaged_densities, betas, regular_densities
 from screendep.compare import (
+    _positive_for_all_t,
     check_gf_dominance,
     check_jensen,
     check_layer_dominance,
     rho1_limit,
     rho2_limit,
 )
-from screendep.degree import DegreeDistribution, make_regular
+from screendep.degree import DegreeDistribution, make_regular, parse_atoms
+from screendep.exppoly import ExpPoly
 
 F = Fraction
 
@@ -66,13 +70,24 @@ def test_gf_dominance_regular_pair():
     s, t = make_regular(2), make_regular(3)
     report = check_gf_dominance(s, t)
     assert report.passed
-    labels = [c.label for c in report.checks]
-    assert any(l.startswith("hypothesis") for l in labels)
-    assert any(l.startswith("conclusion") for l in labels)
-    for c in report.checks:
-        if c.label.startswith("conclusion"):
-            assert c.witness["gamma"] > 0
-            assert c.witness["identity_residual"] <= 1e-10
+    hypothesis, identity, conclusion = report.checks
+    assert hypothesis.label.startswith("hypothesis")
+    assert identity.label.startswith("identity")
+    assert conclusion.label.startswith("conclusion")
+    # G_2 - G_3 = x^2 (1 - x); gamma = 1/12 - x^3/3 + x^4/4 has a double root at x = 1
+    assert hypothesis.witness == {"root_at_0": 2, "root_at_1": 1, "roots_inside": 0, "sign": 1}
+    assert identity.witness == {"equal": True}
+    assert conclusion.witness == {"root_at_0": 0, "root_at_1": 2, "roots_inside": 0, "sign": 1}
+
+
+@pytest.mark.parametrize("s_atoms", ["2:49/100,4:51/100", "2:9/20,4:11/20"])
+def test_gf_dominance_hypothesis_fails_near_t_zero(s_atoms):
+    # G_S - G_T = x^2 (x - 1)(w4 x - w2) changes sign at x = w2/w4 in (0, 1),
+    # that is at a small t > 0 that a grid starting at t = 0.25 never sees
+    report = check_gf_dominance(parse_atoms(s_atoms), make_regular(3))
+    assert report.status == "hypothesis-violated"
+    (check,) = report.checks
+    assert check.witness["roots_inside"] == 1
 
 
 def test_gf_dominance_hypothesis_violated():
@@ -100,8 +115,11 @@ def test_jensen_strict_gain_for_two_atom_law():
     assert dist.mean() == 3
     report = check_jensen(3, dist)
     assert report.passed
-    gains = [c.witness["gain"] for c in report.checks if c.label.startswith("dominance")]
-    assert gains and all(g > 0 for g in gains)
+    (check,) = report.checks
+    assert check.label.startswith("dominance")
+    assert check.witness["roots_inside"] == 0
+    # (1/3 + 1/5)/2 - 1/4, the Jensen gap of 1/(k+1)
+    assert check.witness["limit_gain"] == "1/60"
 
 
 def test_jensen_mean_mismatch():
@@ -121,3 +139,53 @@ def test_widening_spread_increases_the_gain():
             gains.append(averaged_densities(dist).Qrho1.eval(t) - rho_reg.eval(t))
         assert all(g > 0 for g in gains)
         assert all(b > a for a, b in zip(gains, gains[1:]))
+
+
+# -- the sign certificate -------------------------------------------------------
+
+X = ExpPoly.exp(1)  # x = e^{-t}
+ONE = ExpPoly.one()
+INSIDE = st.fractions(min_value=0, max_value=1, max_denominator=12).filter(lambda r: 0 < r < 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    a=st.integers(0, 3),
+    b=st.integers(0, 3),
+    c=st.fractions(max_denominator=5).filter(lambda c: c != 0),
+    roots=st.lists(INSIDE, max_size=3),
+)
+def test_certificate_counts_roots_of_built_products(a, b, c, roots):
+    # x^a (x - 1)^b c prod (x - r)^2: every r is a root inside (0, 1) at
+    # which the form touches zero without changing sign
+    form = ExpPoly.exp(a) * (X - ONE) ** b * ExpPoly.constant(c)
+    for r in roots:
+        form = form * (X - ExpPoly.constant(r)) ** 2
+    positive, witness = _positive_for_all_t(form)
+    assert witness["root_at_0"] == a
+    assert witness["root_at_1"] == b
+    assert witness["roots_inside"] == len(set(roots))
+    if roots:
+        assert not positive
+    else:
+        assert positive == (c * (-1) ** b > 0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(-5, 5), min_size=1, max_size=7))
+def test_accepted_polynomials_are_positive_inside(coeffs):
+    form = ExpPoly((k, 0, c) for k, c in enumerate(coeffs))
+    positive, _ = _positive_for_all_t(form)
+    if positive:
+        for i in range(1, 101):
+            x = Fraction(i, 101)
+            assert sum(c * x ** k for k, c in enumerate(coeffs)) > 0
+
+
+@pytest.mark.parametrize(
+    "form",
+    [ExpPoly.term(1, power=1, rate=2), ExpPoly.exp(F(1, 2)), ExpPoly.term(1, power=2)],
+)
+def test_certificate_needs_a_polynomial_in_exp_minus_t(form):
+    with pytest.raises(ValueError):
+        _positive_for_all_t(ONE + form)

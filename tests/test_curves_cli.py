@@ -286,6 +286,19 @@ def test_motives_unknown_pattern(capsys):
     code, _, err = run_cli(capsys, "motives", "--pattern", "0110")
     assert code == 2
     assert "error:" in err
+    # the message is printed as it is, not in the quotes str(KeyError) adds
+    code, out, err = run_cli(capsys, "motives", "--pattern", "11")
+    assert code == 2
+    assert out == ""
+    assert err == "error: no motive system for pattern '11'; known: ('0101',)\n"
+
+
+def test_motives_csv_needs_a_grid(capsys):
+    # without --grid there is no curve to write as CSV
+    code, out, err = run_cli(capsys, "motives", "--format", "csv")
+    assert code == 2
+    assert out == ""
+    assert "--grid" in err
 
 
 def test_compare_theorem_3(tmp_path, capsys):
@@ -305,21 +318,42 @@ def test_compare_theorem_3(tmp_path, capsys):
 
 def test_compare_theorem_4(capsys):
     code, out, _ = run_cli(
-        capsys, "compare", "--theorem", "4",
-        "--s-atoms", "2:1", "--t-atoms", "3:1", "--grid", "0.5,1,2",
+        capsys, "compare", "--theorem", "4", "--s-atoms", "2:1", "--t-atoms", "3:1"
     )
     assert code == 0
-    assert "status: verified" in out
+    assert "status: verified (3 checks)" in out
 
 
 def test_compare_theorem_4_hypothesis_violated(capsys):
     code, out, _ = run_cli(
-        capsys, "compare", "--theorem", "4",
-        "--s-atoms", "3:1", "--t-atoms", "2:1", "--grid", "0.5,1",
+        capsys, "compare", "--theorem", "4", "--s-atoms", "3:1", "--t-atoms", "2:1"
     )
     assert code == 1
     assert "status: hypothesis-violated" in out
     assert "FAIL hypothesis" in out
+
+
+@pytest.mark.parametrize("s_atoms", ["2:49/100,4:51/100", "2:9/20,4:11/20"])
+def test_compare_theorem_4_hypothesis_fails_near_t_zero(capsys, s_atoms):
+    # G_S < G_T on (w2/w4, 1), i.e. for small t > 0 only
+    code, out, _ = run_cli(
+        capsys, "compare", "--theorem", "4", "--s-atoms", s_atoms, "--t-atoms", "3:1"
+    )
+    assert code == 1
+    assert "status: hypothesis-violated (1 checks)" in out
+
+
+def test_compare_takes_no_grid(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["compare", "--theorem", "4", "--s-atoms", "2:1", "--t-atoms", "3:1",
+              "--grid", "0.5,1"])
+    assert exc.value.code == 2
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"s_atoms": "2:1", "t_atoms": "3:1", "grid": "0.5,1"}))
+    code, out, err = run_cli(capsys, "compare", "--theorem", "4", "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert "grid" in err
 
 
 def test_compare_theorem_5(capsys):
@@ -438,15 +472,19 @@ def test_config_file_must_hold_an_object(tmp_path, capsys):
     assert "error:" in err
 
 
-def test_readme_commands_parse():
-    # every `screendep ...` line of the README's sh blocks must parse, so a
-    # removed flag cannot linger in the docs
+def _readme_commands() -> list[str]:
+    """Every `screendep ...` line of the README's sh blocks."""
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     blocks = re.findall(r"```sh\n(.*?)```", readme, re.S)
-    lines = [
+    return [
         line for block in blocks for line in block.replace("\\\n", " ").splitlines()
         if line.startswith("screendep ")
     ]
+
+
+def test_readme_commands_parse():
+    # every README command must parse, so a removed flag cannot linger in the docs
+    lines = _readme_commands()
     assert len(lines) >= 10
     parser = build_parser()
     for line in lines:
@@ -454,6 +492,16 @@ def test_readme_commands_parse():
             parser.parse_args(shlex.split(line)[1:])
         except SystemExit:
             pytest.fail(f"README command does not parse: {line}")
+
+
+def test_readme_certificates_verify(capsys):
+    # a certificate the README documents must keep verifying
+    lines = [line for line in _readme_commands() if line.startswith("screendep compare ")]
+    assert len(lines) == 3
+    for line in lines:
+        code, out, err = run_cli(capsys, *shlex.split(line)[1:])
+        assert code == 0, (line, err)
+        assert "status: verified" in out, line
 
 
 def test_validate_quick(capsys):

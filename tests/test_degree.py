@@ -81,10 +81,8 @@ def test_moments():
 def test_gen_fun():
     dist = DegreeDistribution.from_pairs({2: "1/2", 3: "1/2"})
     assert dist.gen_fun_exact(F(1, 2)) == F(3, 16)
-    assert dist.gen_fun(0.5) == 0.1875
-    assert dist.gen_fun(1.0) == 1.0
-    with pytest.raises(ValueError):
-        dist.gen_fun(1.5)
+    assert dist.gen_fun_exact(F(1)) == 1
+    assert dist.gen_fun_exact(F(0)) == 0
 
 
 def test_make_regular():

@@ -10,12 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from screendep import exppoly
 from screendep.exppoly import (
     DivergentLimitError,
     ExpPoly,
     TermBudgetError,
-    get_term_budget,
-    set_term_budget,
     solve_linear_ode,
 )
 
@@ -229,17 +228,8 @@ def test_json_round_trip():
 # -- term budget ---------------------------------------------------------------
 
 
-def test_term_budget_guards_products():
-    old = get_term_budget()
-    try:
-        set_term_budget(10)
-        f = ExpPoly((k, 0, 1) for k in range(6))
-        with pytest.raises(TermBudgetError):
-            f * f
-    finally:
-        set_term_budget(old)
-
-
-def test_term_budget_validation():
-    with pytest.raises(ValueError):
-        set_term_budget(0)
+def test_term_budget_guards_products(monkeypatch):
+    monkeypatch.setattr(exppoly, "TERM_BUDGET", 10)
+    f = ExpPoly((k, 0, 1) for k in range(6))
+    with pytest.raises(TermBudgetError):
+        f * f

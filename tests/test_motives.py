@@ -132,7 +132,7 @@ def test_motive_values_are_probabilities():
 def test_registry():
     assert known_patterns() == ("0101",)
     assert target_probability() == TARGET_0101
-    with pytest.raises(KeyError, match="0101"):
+    with pytest.raises(ValueError, match="0101"):
         pattern_system("0110")
 
 
