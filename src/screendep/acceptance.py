@@ -150,6 +150,11 @@ class AcceptanceSuite:
     """Runs the nine criteria, caching the shared Monte Carlo runs."""
 
     def __init__(self, seed: int = DEFAULT_SEED, n_jobs: int = 1):
+        # checked here so that a bad argument fails before any criterion runs
+        if seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {seed}")
+        if n_jobs < 1:
+            raise ValueError(f"jobs must be >= 1, got {n_jobs}")
         self.seed = seed
         self.n_jobs = n_jobs
         self._cycle_curve: DensityCurve | None = None
@@ -196,15 +201,15 @@ class AcceptanceSuite:
 
     def criterion_2(self) -> tuple[bool, str]:
         for d in range(2, 51):
-            rd = regular_densities(d)  # raises if rho1 != D1 + D3
-            if rd.rho1.limit_at_infinity() != Fraction(1, d + 1):
-                return False, f"d={d}: rho1 limit wrong"
+            rd = regular_densities(d)
+            if rd.rho1 != (ExpPoly.one() - ExpPoly.exp(d + 1)) / (d + 1):
+                return False, f"d={d}: D1 + D3 != (1 - e^(-(d+1)t))/(d+1)"
             lim2 = rho2_limit(d)
             if rd.rho2.limit_at_infinity() != lim2:
                 return False, f"d={d}: rho2 limit disagrees across modules"
             if not lim2 < Fraction(1, d + 1):
                 return False, f"d={d}: second layer not dominated"
-        return True, "d=2..50: rho1 = D1 + D3, limits exact, dominance holds"
+        return True, "d=2..50: D1 + D3 = (1 - e^(-(d+1)t))/(d+1), limits exact, dominance holds"
 
     def criterion_3(self) -> tuple[bool, str]:
         curve = self.cycle_curve()

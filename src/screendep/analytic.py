@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import comb
 
 from .degree import DegreeDistribution
@@ -84,82 +85,34 @@ def _d2(d: int) -> ExpPoly:
 
 @dataclass(frozen=True)
 class RegularDensities:
-    """Exact code-class probabilities and layer densities on the d-regular tree."""
+    """Exact code-class probabilities on the d-regular tree.
+
+    The layer densities are sums of code classes: rho1 = D1 + D3 (which
+    equals (1 - e^{-(d+1)t})/(d+1)) and rho2 = D2 + D3.
+    """
 
     d: int
     D1: ExpPoly
     D2: ExpPoly
     D3: ExpPoly
-    rho1: ExpPoly
-    rho2: ExpPoly
 
-    def __post_init__(self):
-        if self.rho1 != self.D1 + self.D3:
-            raise AssertionError(f"d={self.d}: rho1 != D1 + D3")
+    @property
+    def rho1(self) -> ExpPoly:
+        return self.D1 + self.D3
 
-    def to_json_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "D1": self.D1.to_json_dict(),
-            "D2": self.D2.to_json_dict(),
-            "D3": self.D3.to_json_dict(),
-            "rho1": self.rho1.to_json_dict(),
-            "rho2": self.rho2.to_json_dict(),
-        }
+    @property
+    def rho2(self) -> ExpPoly:
+        return self.D2 + self.D3
 
 
 def regular_densities(d: int) -> RegularDensities:
     """Exact densities on the d-regular tree, d >= 2.
 
-    rho1 = (1 - e^{-(d+1)t})/(d+1), verified against D1 + D3 at
-    construction; rho2 = D2 + D3, with D2 the alternating sum over betas(d).
+    D2 is the alternating sum over betas(d).
     """
     if d < 2:
         raise ValueError(f"degree must be >= 2, got {d}")
-    r = d + 1
-    d2, d3 = _d2(d), _d3(d)
-    return RegularDensities(
-        d=d,
-        D1=_d1(d),
-        D2=d2,
-        D3=d3,
-        rho1=(ExpPoly.one() - ExpPoly.exp(r)) / r,
-        rho2=d2 + d3,
-    )
-
-
-@dataclass(frozen=True)
-class AveragedDensities:
-    """Tree-averaged root densities on a random tree with degree law dist.
-
-    Z(t) = sum_d a_d e^{-(d-1)t}/(d-1) is the kernel entering the QD2
-    integrals; z0 = Z(0).
-    """
-
-    dist: DegreeDistribution
-    QD1: ExpPoly
-    QD2: ExpPoly
-    QD3: ExpPoly
-    Qrho1: ExpPoly
-    Qrho2: ExpPoly
-    Z: ExpPoly
-
-    def __post_init__(self):
-        if self.Qrho1 != self.QD1 + self.QD3:
-            raise AssertionError(f"{self.dist.label()}: Qrho1 != QD1 + QD3")
-        if self.Qrho2 != self.QD2 + self.QD3:
-            raise AssertionError(f"{self.dist.label()}: Qrho2 != QD2 + QD3")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "dist": self.dist.to_json_dict(),
-            "QD1": self.QD1.to_json_dict(),
-            "QD2": self.QD2.to_json_dict(),
-            "QD3": self.QD3.to_json_dict(),
-            "Qrho1": self.Qrho1.to_json_dict(),
-            "Qrho2": self.Qrho2.to_json_dict(),
-            "Z": self.Z.to_json_dict(),
-        }
+    return RegularDensities(d=d, D1=_d1(d), D2=_d2(d), D3=_d3(d))
 
 
 def z_kernel(dist: DegreeDistribution) -> ExpPoly:
@@ -167,51 +120,60 @@ def z_kernel(dist: DegreeDistribution) -> ExpPoly:
     return ExpPoly((d - 1, 0, w * Fraction(1, d - 1)) for d, w in dist.atoms)
 
 
-def averaged_densities(dist: DegreeDistribution) -> AveragedDensities:
-    """Exact tree-averaged densities at the root of a random tree.
+@dataclass(frozen=True)
+class AveragedDensities:
+    """Tree-averaged root code classes on a random tree with degree law dist.
 
     QD1 and QD3 average the regular-tree formulas over the root degree
-    (their derivations never look past the nearest neighbors).  QD2
-    integrates the product form of the code-2 inflow exactly, one ODE
-    solve per atom:
-
-        QD2 = sum_d0 a_d0 int_0^t (W_u^{d0} - 1) e^{-(d0+1)u} du,
-        W = 1 + z0 - Z.
-
-    The atoms are sorted by degree, so each W^{d0} is reached from the
-    previous atom's power by repeated multiplication with W.
+    (their derivations never look past the nearest neighbors), so the
+    first layer Qrho1 = QD1 + QD3 needs nothing more.  Only the second
+    layer Qrho2 = QD2 + QD3 needs QD2, which is expanded the first time
+    it is read.
     """
+
+    dist: DegreeDistribution
+    QD1: ExpPoly
+    QD3: ExpPoly
+
+    @property
+    def Qrho1(self) -> ExpPoly:
+        return self.QD1 + self.QD3
+
+    @property
+    def Qrho2(self) -> ExpPoly:
+        return self.QD2 + self.QD3
+
+    @cached_property
+    def QD2(self) -> ExpPoly:
+        """The code-2 inflow integrated exactly, one ODE solve per atom:
+
+            QD2 = sum_d0 a_d0 int_0^t (W_u^{d0} - 1) e^{-(d0+1)u} du,
+            W = 1 + z0 - Z,  Z = z_kernel(dist),  z0 = Z(0).
+
+        The atoms are sorted by degree, so each W^{d0} is reached from the
+        previous atom's power by repeated multiplication with W.
+        """
+        z = z_kernel(self.dist)
+        base = ExpPoly.constant(1 + z.at_zero()) - z
+        power, base_pow = 0, ExpPoly.one()
+        qd2 = ExpPoly.zero()
+        for d0, w in self.dist.atoms:
+            for _ in range(d0 - power):
+                base_pow = base_pow * base
+            power = d0
+            inflow = (base_pow - ExpPoly.one()) * ExpPoly.exp(d0 + 1)
+            qd2 = qd2 + inflow.integrate0().scale(w)
+        return qd2
+
+
+def averaged_densities(dist: DegreeDistribution) -> AveragedDensities:
+    """Exact tree-averaged code classes at the root of a random tree."""
     qd1 = ExpPoly.zero()
     qd3 = ExpPoly.zero()
     for d, w in dist.atoms:
         qd1 = qd1 + _d1(d).scale(w)
         qd3 = qd3 + _d3(d).scale(w)
-    qrho1 = ExpPoly(
-        t
-        for d, w in dist.atoms
-        for t in ((0, 0, w * Fraction(1, d + 1)), (d + 1, 0, -w * Fraction(1, d + 1)))
-    )
-
-    z = z_kernel(dist)
-    base = ExpPoly.constant(1 + z.at_zero()) - z
-    power, base_pow = 0, ExpPoly.one()
-    qd2 = ExpPoly.zero()
-    for d0, w in dist.atoms:
-        for _ in range(d0 - power):
-            base_pow = base_pow * base
-        power = d0
-        inflow = (base_pow - ExpPoly.one()) * ExpPoly.exp(d0 + 1)
-        qd2 = qd2 + inflow.integrate0().scale(w)
-
-    return AveragedDensities(
-        dist=dist,
-        QD1=qd1,
-        QD2=qd2,
-        QD3=qd3,
-        Qrho1=qrho1,
-        Qrho2=qd2 + qd3,
-        Z=z,
-    )
+    return AveragedDensities(dist=dist, QD1=qd1, QD3=qd3)
 
 
 def qd2_quadrature(dist: DegreeDistribution, t: float) -> float:
@@ -219,7 +181,7 @@ def qd2_quadrature(dist: DegreeDistribution, t: float) -> float:
 
     Uses the product form sum_d0 a_d0 ((1 + z0 - Z_u)^{d0} - 1) e^{-(d0+1)u}
     with float arithmetic throughout; serves as an oracle for the exact
-    integration in averaged_densities.  scipy is imported here, not at
+    integration in AveragedDensities.QD2.  scipy is imported here, not at
     module level, so the rest of the package loads without it.
     """
     from scipy.integrate import quad

@@ -93,9 +93,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _merge_config(args: argparse.Namespace, defaults: dict) -> dict:
-    """File values underlie flag values; package defaults fill the rest."""
+def _merge_config(args: argparse.Namespace, defaults: dict) -> tuple[dict, set[str]]:
+    """File values underlie flag values; package defaults fill the rest.
+
+    Returns the merged spec and the keys given by a flag or the file.
+    """
     merged = dict(defaults)
+    given: set[str] = set()
     flags = {k: v for k, v in vars(args).items() if k not in ("subcommand", "config")}
     config_path = getattr(args, "config", None)
     if config_path:
@@ -110,10 +114,25 @@ def _merge_config(args: argparse.Namespace, defaults: dict) -> dict:
         for key, value in file_values.items():
             _check_file_value(key, value, options[key])
         merged.update(file_values)
+        given.update(file_values)
     for key, value in flags.items():
         if value is not None and value is not False:
             merged[key] = value
-    return merged
+            given.add(key)
+    return merged, given
+
+
+def _reject_unread(subcommand: str, given: set[str], unread: tuple[str, ...], why: str) -> None:
+    """A given option that the run would not read is a usage error."""
+    keys = sorted(given.intersection(unread))
+    if not keys:
+        return
+    options = _options(subcommand)
+    names = []
+    for key in keys:
+        flag = options[key].option_strings[0]
+        names.append(flag if flag == "--" + key.replace("_", "-") else f"{flag} (key {key})")
+    raise ValueError(f"{why} does not read {', '.join(names)}")
 
 
 def _options(subcommand: str) -> dict[str, argparse.Action]:
@@ -176,10 +195,16 @@ def _emit(curve: DensityCurve, out: str, fmt: str) -> None:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    spec = _merge_config(args, SIMULATE_DEFAULTS)
+    spec, given = _merge_config(args, SIMULATE_DEFAULTS)
     kind = spec.get("graph")
     if kind is None:
         raise ValueError("simulate needs --graph (cycle | regular | random)")
+    unread = {
+        "cycle": ("d", "atoms", "radius", "buffer"),
+        "regular": ("n", "atoms"),
+        "random": ("n", "d"),
+    }
+    _reject_unread("simulate", given, unread[kind], f"--graph {kind}")
     if kind == "cycle":
         if spec.get("n") is None:
             raise ValueError("--graph cycle needs --n")
@@ -220,7 +245,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_analytic(args: argparse.Namespace) -> int:
-    spec = _merge_config(args, {"grid": "0.25:0.25:10", "format": "csv", "out": "-"})
+    spec, _ = _merge_config(args, {"grid": "0.25:0.25:10", "format": "csv", "out": "-"})
     if (spec.get("d") is None) == (spec.get("atoms") is None):
         raise ValueError("analytic needs exactly one of --d or --atoms")
     grid = parse_grid(spec["grid"])
@@ -242,12 +267,15 @@ def cmd_analytic(args: argparse.Namespace) -> int:
 
 
 def cmd_motives(args: argparse.Namespace) -> int:
-    spec = _merge_config(args, {"pattern": "0101", "format": "text", "out": "-"})
+    spec, given = _merge_config(args, {"pattern": "0101", "format": "text", "out": "-"})
     pattern = spec["pattern"]
     system = pattern_system(pattern)
     fmt = spec["format"]
     if fmt == "csv" and not spec.get("grid"):
         raise ValueError("motives --format csv needs --grid")
+    if spec.get("grid") or fmt == "json":
+        why = "motives --grid" if spec.get("grid") else "motives --format json"
+        _reject_unread("motives", given, ("show_closed_form",), why)
     if spec.get("grid"):
         grid = parse_grid(spec["grid"])
         meta = {
@@ -277,8 +305,10 @@ def cmd_motives(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    spec = _merge_config(args, {"dmax": 50})
+    spec, given = _merge_config(args, {"dmax": 50})
     theorem = spec["theorem"]
+    unread = {3: ("s_atoms", "t_atoms", "d"), 4: ("dmax", "d"), 5: ("dmax", "t_atoms")}
+    _reject_unread("compare", given, unread[theorem], f"--theorem {theorem}")
     if theorem == 3:
         report = check_layer_dominance(spec["dmax"])
     elif theorem == 4:

@@ -1,8 +1,8 @@
 """Finite-support degree distributions with exact rational weights.
 
 A distribution assigns positive rational weights to finitely many integer
-degrees >= 2 and is the single source of truth for generating-function and
-moment computations, so weights are kept exact end to end.
+degrees >= 2.  Weights are exact end to end: a float weight is rejected,
+not rounded.
 """
 
 from __future__ import annotations
@@ -11,27 +11,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
-WeightLike = Union[int, str, Fraction, float]
-
-FLOAT_WEIGHT_TOL = 1e-12
+WeightLike = Union[int, str, Fraction]
 
 
 def _to_fraction(w: WeightLike) -> Fraction:
-    if isinstance(w, Fraction):
-        return w
-    if isinstance(w, int):
+    if isinstance(w, (Fraction, int, str)):
         return Fraction(w)
-    if isinstance(w, str):
-        return Fraction(w)
-    if isinstance(w, float):
-        approx = Fraction(w).limit_denominator(10 ** 12)
-        if abs(float(approx) - w) > FLOAT_WEIGHT_TOL:
-            raise ValueError(
-                f"float weight {w!r} has no rational representation within "
-                f"{FLOAT_WEIGHT_TOL}"
-            )
-        return approx
-    raise TypeError(f"unsupported weight type {type(w).__name__}")
+    raise TypeError(f"weights must be exact (int, str or Fraction), got {type(w).__name__}")
 
 
 @dataclass(frozen=True)
@@ -68,8 +54,8 @@ class DegreeDistribution:
     ) -> "DegreeDistribution":
         """Build from (degree, weight) pairs or a mapping, normalizing weights.
 
-        Weights may be ints, Fractions, strings like "1/2", or floats; floats
-        are rationalized with tolerance 1e-12 before the exact normalization.
+        Weights may be ints, Fractions or strings like "1/2"; a float is a
+        TypeError, since it has no exact rational to stand for.
         """
         if isinstance(pairs, Mapping):
             items = list(pairs.items())
@@ -89,55 +75,20 @@ class DegreeDistribution:
         )
         return cls(atoms=atoms, name=name)
 
-    # -- basic accessors ------------------------------------------------
-
-    @property
-    def degrees(self) -> tuple[int, ...]:
-        return tuple(d for d, _ in self.atoms)
-
     @property
     def max_degree(self) -> int:
         return self.atoms[-1][0]
 
-    def weight(self, d: int) -> Fraction:
-        for deg, w in self.atoms:
-            if deg == d:
-                return w
-        return Fraction(0)
-
     def is_point_mass(self) -> bool:
         return len(self.atoms) == 1
 
-    # -- moments and generating function ---------------------------------
-
     def mean(self) -> Fraction:
         return sum(Fraction(d) * w for d, w in self.atoms)
-
-    def moment(self, r: int) -> Fraction:
-        return sum(Fraction(d ** r) * w for d, w in self.atoms)
-
-    def gen_fun_exact(self, s: Fraction) -> Fraction:
-        """Probability generating function G(s) = sum_d w_d s^d, exactly."""
-        return sum(w * s ** d for d, w in self.atoms)
-
-    # -- labels and serialization ----------------------------------------
 
     def label(self) -> str:
         if self.name:
             return self.name
         return ",".join(f"{d}:{w}" for d, w in self.atoms)
-
-    def to_json_dict(self) -> dict:
-        out = {"atoms": [[d, str(w)] for d, w in self.atoms]}
-        if self.name:
-            out["name"] = self.name
-        return out
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "DegreeDistribution":
-        return cls.from_pairs(
-            [(int(d), w) for d, w in data["atoms"]], name=data.get("name")
-        )
 
 
 def make_regular(d: int) -> DegreeDistribution:

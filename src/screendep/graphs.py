@@ -72,20 +72,6 @@ class GraphInstance:
     def vertex_count(self) -> int:
         return len(self.neighbors)
 
-    def degree(self, v: int) -> int:
-        return len(self.neighbors[v])
-
-    def to_json_dict(self) -> dict:
-        out = {
-            "kind": self.kind,
-            "label": self.label,
-            "vertex_count": self.vertex_count,
-            "interior_count": len(self.interior),
-        }
-        if self.root is not None:
-            out["root"] = self.root
-        return out
-
 
 def build_cycle(n: int) -> GraphInstance:
     """Cycle on n >= 5 vertices; every vertex is interior."""

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from screendep import analytic
 from screendep.analytic import (
     averaged_densities,
     qd2_quadrature,
@@ -23,6 +24,7 @@ F = Fraction
 TWO_THREE = DegreeDistribution.from_pairs({2: "1/2", 3: "1/2"})
 TWO_THIRDS = DegreeDistribution.from_pairs({2: "1/3", 3: "2/3"})
 THREE_SEVEN = DegreeDistribution.from_pairs({3: "1/4", 7: "3/4"})
+WIDE = DegreeDistribution.from_pairs({2: "1/2", 40: "1/2"})
 
 
 def ep(*terms):
@@ -36,6 +38,10 @@ def test_rho1_closed_form():
     r = regular_densities(2)
     assert r.rho1 == ep((0, 0, F(1, 3)), (3, 0, F(-1, 3)))
     assert r.rho1.limit_at_infinity() == F(1, 3)
+    # the first layer needs the root's degree alone: D1 + D3 collapses to
+    # (1 - e^{-(d+1)t})/(d+1)
+    for d in range(2, 51):
+        assert regular_densities(d).rho1 == (ExpPoly.one() - ExpPoly.exp(d + 1)) / (d + 1)
 
 
 def test_code_class_closed_forms_d2():
@@ -135,6 +141,27 @@ def test_averaged_rho1():
         (0, 0, F(7, 24)), (3, 0, F(-1, 6)), (4, 0, F(-1, 8))
     )
     assert av.Qrho1.limit_at_infinity() == F(7, 24)
+
+
+@pytest.mark.parametrize("dist", [TWO_THREE, TWO_THIRDS, THREE_SEVEN, WIDE])
+def test_averaged_rho1_is_the_averaged_closed_form(dist):
+    # Qrho1 = sum_d a_d (1 - e^{-(d+1)t})/(d+1)
+    expected = ExpPoly.zero()
+    for d, w in dist.atoms:
+        expected = expected + ((ExpPoly.one() - ExpPoly.exp(d + 1)) / (d + 1)).scale(w)
+    assert averaged_densities(dist).Qrho1 == expected
+
+
+def test_qd2_is_expanded_once_and_only_when_read(monkeypatch):
+    calls = []
+    real = analytic.z_kernel
+    monkeypatch.setattr(analytic, "z_kernel", lambda dist: calls.append(dist) or real(dist))
+    av = averaged_densities(WIDE)
+    assert av.Qrho1.limit_at_infinity() == F(1, 6) + F(1, 82)
+    assert calls == []
+    assert av.QD2 is av.QD2
+    assert av.Qrho2 == av.QD2 + av.QD3
+    assert calls == [WIDE]
 
 
 def test_averaged_rho1_derivative_is_pgf_weighted():

@@ -8,8 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from screendep import analytic
 from screendep.analytic import averaged_densities, betas, regular_densities
 from screendep.compare import (
+    _gf_form,
     _positive_for_all_t,
     check_gf_dominance,
     check_jensen,
@@ -120,6 +122,29 @@ def test_jensen_strict_gain_for_two_atom_law():
     assert check.witness["roots_inside"] == 0
     # (1/3 + 1/5)/2 - 1/4, the Jensen gap of 1/(k+1)
     assert check.witness["limit_gain"] == "1/60"
+
+
+def test_gf_form_is_the_pgf():
+    # G(x) = x^2/2 + x^3/2 at x = e^{-t}: G(1) = 1, G(0) = 0, G(1/2) = 3/16
+    g = _gf_form(DegreeDistribution.from_pairs({2: "1/2", 3: "1/2"}))
+    assert g == ExpPoly([(2, 0, F(1, 2)), (3, 0, F(1, 2))])
+    assert g.at_zero() == 1
+    assert g.limit_at_infinity() == 0
+    assert sum(c * F(1, 2) ** int(k) for k, _, c in g.terms) == F(3, 16)
+
+
+def test_certificates_never_expand_qd2(monkeypatch):
+    # theorems 4 and 5 read only the first layer, which needs the root's
+    # degree alone; the second-layer kernel Z must never be built for them
+    calls = []
+    real = analytic.z_kernel
+    monkeypatch.setattr(analytic, "z_kernel", lambda dist: calls.append(dist) or real(dist))
+    wide = parse_atoms("2:1/2,40:1/2")
+    assert check_gf_dominance(wide, make_regular(3)).status == "hypothesis-violated"
+    assert check_gf_dominance(make_regular(2), make_regular(3)).passed
+    assert check_jensen(21, wide).passed
+    assert check_jensen(3, make_regular(3)).passed
+    assert calls == []
 
 
 def test_jensen_mean_mismatch():

@@ -145,6 +145,7 @@ def test_simulate_cycle_stdout(capsys):
     assert curve.times == (1.0, 2.0)
     assert curve.meta["graph"] == "cycle(n=40)"
     assert curve.meta["spec"]["replicas"] == 5
+    assert curve.meta["spec"]["buffer"] == 0
     assert "out" not in curve.meta["spec"]
     assert all(p.n == 5 for p in curve.get("layer:1"))
 
@@ -208,6 +209,37 @@ def test_simulate_usage_errors(capsys, argv):
     code, _, err = run_cli(capsys, *argv)
     assert code == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (("--graph", "cycle", "--n", "30", "--d", "7"), "--d"),
+        (("--graph", "cycle", "--n", "30", "--R", "3"), "--R"),
+        (("--graph", "cycle", "--n", "30", "--atoms", "2:1"), "--atoms"),
+        (("--graph", "cycle", "--n", "30", "--buffer", "0"), "--buffer"),
+        (("--graph", "regular", "--d", "3", "--R", "4", "--n", "30"), "--n"),
+        (("--graph", "regular", "--d", "3", "--R", "4", "--atoms", "2:1"), "--atoms"),
+        (("--graph", "random", "--atoms", "2:1", "--R", "4", "--n", "30"), "--n"),
+        (("--graph", "random", "--atoms", "2:1", "--R", "4", "--d", "3"), "--d"),
+    ],
+)
+def test_simulate_rejects_options_the_graph_does_not_read(capsys, argv, named):
+    code, out, err = run_cli(capsys, "simulate", *argv, "--times", "1", "--replicas", "2")
+    assert code == 2
+    assert out == ""
+    assert named in err
+
+
+def test_simulate_rejects_unread_config_keys(tmp_path, capsys):
+    # a file key is rejected like its flag, even at the default value
+    _assert_config_rejected(
+        tmp_path, capsys, "simulate",
+        {"graph": "cycle", "n": 30, "times": "1", "buffer": 0, "radius": 3}, "radius",
+    )
+    _assert_config_rejected(
+        tmp_path, capsys, "simulate", {"graph": "cycle", "n": 30, "times": "1", "buffer": 0}, "buffer"
+    )
 
 
 def test_analytic_regular(capsys):
@@ -280,6 +312,15 @@ def test_motives_grid_curve(capsys):
         + (17 / 27 + 4 / 9) * math.exp(-6) - (33 / 784 + 5 / 112) * math.exp(-7),
         abs=1e-12,
     )
+
+
+@pytest.mark.parametrize("argv", [("--grid", "1,2"), ("--format", "json")])
+def test_motives_rejects_an_unread_show_closed_form(capsys, argv):
+    # only the text listing prints closed forms
+    code, out, err = run_cli(capsys, "motives", *argv, "--show-closed-form")
+    assert code == 2
+    assert out == ""
+    assert "--show-closed-form" in err
 
 
 def test_motives_unknown_pattern(capsys):
@@ -376,6 +417,24 @@ def test_compare_usage_errors(capsys, argv):
     code, _, err = run_cli(capsys, *argv)
     assert code == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (("--theorem", "3", "--s-atoms", "2:1"), "--s-atoms"),
+        (("--theorem", "3", "--d", "3"), "--d"),
+        (("--theorem", "4", "--s-atoms", "2:1", "--t-atoms", "3:1", "--dmax", "7"), "--dmax"),
+        (("--theorem", "4", "--s-atoms", "2:1", "--t-atoms", "3:1", "--d", "3"), "--d"),
+        (("--theorem", "5", "--d", "3", "--s-atoms", "2:1/2,4:1/2", "--t-atoms", "9:1"), "--t-atoms"),
+        (("--theorem", "5", "--d", "3", "--s-atoms", "2:1/2,4:1/2", "--dmax", "7"), "--dmax"),
+    ],
+)
+def test_compare_rejects_options_the_theorem_does_not_read(capsys, argv, named):
+    code, out, err = run_cli(capsys, "compare", *argv)
+    assert code == 2
+    assert out == ""
+    assert named in err
 
 
 def test_config_file_merge(tmp_path, capsys):
@@ -508,6 +567,23 @@ def test_validate_quick(capsys):
     code, out, _ = run_cli(capsys, "validate", "--quick")
     assert code == 0
     assert "4/4 criteria passed (quick subset)" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--seed", "-1"),
+        ("--quick", "--seed", "-1"),
+        ("--quick", "--jobs", "0"),
+        ("--jobs", "0"),
+    ],
+)
+def test_validate_checks_its_arguments_first(capsys, argv):
+    # exit 2 before any criterion runs, so nothing is printed
+    code, out, err = run_cli(capsys, "validate", *argv)
+    assert code == 2
+    assert out == ""
+    assert "error:" in err
 
 
 def test_version_flag(capsys):
