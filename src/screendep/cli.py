@@ -19,6 +19,7 @@ from .compare import check_gf_dominance, check_jensen, check_layer_dominance
 from .curves import DensityCurve, curve_from_exact, parse_grid
 from .degree import make_regular, parse_atoms
 from .deposit import SimConfig, estimate_densities
+from .exppoly import TermBudgetError
 from .graphs import RandomBallSource, build_cycle, build_regular_ball
 from .motives import pattern_system, system_json
 
@@ -362,7 +363,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.subcommand](args)
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, KeyError, OSError, TermBudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -20,6 +20,11 @@ from .exppoly import ExpPoly
 CSV_COLUMNS = "time,observable,mean,stderr,n"
 
 
+def _json_number(x: float) -> float | None:
+    """x, or None for nan and inf, which JSON cannot write."""
+    return x if math.isfinite(x) else None
+
+
 @dataclass(frozen=True)
 class SeriesPoint:
     mean: float
@@ -69,6 +74,7 @@ class DensityCurve:
         return "\n".join(lines) + "\n"
 
     def to_json_dict(self) -> dict:
+        """The curve as JSON values; a non-finite mean or stderr is None."""
         return {
             "meta": dict(self.meta),
             "times": list(self.times),
@@ -76,7 +82,8 @@ class DensityCurve:
                 {
                     "observable": name,
                     "points": [
-                        {"time": t, "mean": p.mean, "stderr": p.stderr, "n": p.n}
+                        {"time": t, "mean": _json_number(p.mean),
+                         "stderr": _json_number(p.stderr), "n": p.n}
                         for t, p in zip(self.times, points)
                     ],
                 }
@@ -85,7 +92,8 @@ class DensityCurve:
         }
 
     def to_json_text(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
+        text = json.dumps(self.to_json_dict(), sort_keys=True, indent=2, allow_nan=False)
+        return text + "\n"
 
     # -- readers ----------------------------------------------------------
 

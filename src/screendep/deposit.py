@@ -3,9 +3,10 @@
 Each vertex of a finite graph receives particles at unit rate.  A particle
 arriving at v settles at height 1 + max over the closed neighborhood of v
 of the current top height, i.e. it is blocked by the tallest stack it can
-see, including v's own.  The simulator realizes the arrival process
-exactly: the number of arrivals on [0, horizon] is Poisson(n * horizon),
-arrival times are iid uniform, and sites are iid uniform over vertices.
+see, including v's own.  The simulator realizes the arrival process on
+m vertices exactly: the number of arrivals on [0, horizon] is
+Poisson(m * horizon), arrival times are iid uniform, and sites are iid
+uniform over the m vertices.
 
 Per vertex we track the top height, exact below the deepest layer an
 observable reads, and a bitmask of the occupied layers up to that layer
@@ -17,9 +18,11 @@ layer 1 occupied.
 The lowest L layers at a vertex are decided by the arrivals within
 distance L of it (its light cone).  On a ball, whose vertices are numbered
 breadth-first, the light cones of the measured vertices lie in a prefix of
-the vertex ids; the arrival stream is drawn over every vertex and then
-only the arrivals in that prefix are settled, so the outputs are exactly
-those of settling them all.
+the vertex ids, and the arrivals are drawn over that prefix alone (m is
+its size; on a cycle, or when every vertex is measured, m = n).  The
+arrival process restricted to a set of vertices is the same Poisson
+process on that set.  A fixed ball is cut to the prefix before it is sent
+to the replicas; no arrival lands outside it, so the cut changes nothing.
 
 Within the light cone the kernel also skips every arrival at a saturated
 vertex, one whose stack already reaches the deepest tracked layer.  Each
@@ -163,24 +166,37 @@ def _light_cone(graph: GraphInstance, measured: tuple[int, ...], depth: int) -> 
     return bisect_right(graph.depth, reach)
 
 
-def _arrival_stream(
-    n: int, config: SimConfig, rng: np.random.Generator, cone: int | None = None
-) -> tuple[list, list]:
-    """Arrival sites on n vertices in time order, and per sample time the
+def _arrival_stream(m: int, config: SimConfig, rng: np.random.Generator) -> tuple[list, list]:
+    """Arrival sites on m vertices in time order, and per sample time the
     number of arrivals at or before it.
 
-    The stream is drawn over all n vertices; with cone < n only the arrivals
-    at sites below cone are returned, and the counts are of those.
+    The times are left unsorted: the sites are iid, so drawing them in
+    rank order gives the sites of the sorted times, and each count is the
+    number of times at or before the sample time.
     """
-    n_events = rng.poisson(n * config.horizon)
-    times = np.sort(rng.random(n_events)) * config.horizon
-    sites = rng.integers(0, n, size=n_events)
-    bounds = np.searchsorted(times, np.asarray(config.sample_times), side="right")
-    if cone is not None and cone < n:
-        inside = sites < cone
-        bounds = np.concatenate(([0], np.cumsum(inside)))[bounds]
-        sites = sites[inside]
-    return sites.tolist(), bounds.tolist()
+    n_events = rng.poisson(m * config.horizon)
+    times = rng.random(n_events) * config.horizon
+    sites = rng.integers(0, m, size=n_events)
+    bounds = [int(np.count_nonzero(times <= t)) for t in config.sample_times]
+    return sites.tolist(), bounds
+
+
+def _cut_to_light_cone(graph: GraphInstance, config: SimConfig) -> GraphInstance:
+    """The prefix of a ball that holds the light cone of its measured
+    vertices: the same masks from the same seed, and less to send to a
+    worker.  Arrivals are drawn only inside the cone, so a vertex outside
+    it never holds a particle and never screens a neighbor."""
+    cone = _light_cone(graph, _measured_vertices(graph, config), config.depth)
+    if cone == graph.vertex_count:
+        return graph
+    return GraphInstance(
+        kind=graph.kind,
+        neighbors=tuple(tuple(u for u in nb if u < cone) for nb in graph.neighbors[:cone]),
+        interior=tuple(v for v in graph.interior if v < cone),
+        root=graph.root,
+        depth=graph.depth[:cone],
+        label=graph.label,
+    )
 
 
 def _settle(neighbors, sites: list, bounds: list, measured, depth: int) -> list[list[int]]:
@@ -227,11 +243,11 @@ def run_replica(
     """Simulate one arrival realization and snapshot it at the sample times.
 
     The lowest depth layers at a vertex are decided by the arrivals within
-    distance depth of it.  On a ball only the arrivals in the measured
-    vertices' light cone are settled; the stream is drawn over every vertex
-    all the same, so the masks equal those of settling every arrival.  A
-    cycle must have at least 2 * depth + 1 vertices: on a smaller one that
-    neighborhood wraps around onto itself.
+    distance depth of it.  On a ball the arrivals are drawn only in the
+    measured vertices' light cone, the first vertex ids, so the stream
+    depends on the cone alone and a ball cut to its cone gives the same
+    masks.  A cycle must have at least 2 * depth + 1 vertices: on a smaller
+    one that neighborhood wraps around onto itself.
     """
     depth = config.depth
     if graph.kind == "cycle" and graph.vertex_count < 2 * depth + 1:
@@ -243,8 +259,7 @@ def run_replica(
     if measured is None:
         measured = _measured_vertices(graph, config)
     measured = tuple(measured)
-    cone = _light_cone(graph, measured, depth)
-    sites, bounds = _arrival_stream(graph.vertex_count, config, rng, cone)
+    sites, bounds = _arrival_stream(_light_cone(graph, measured, depth), config, rng)
     masks = _settle(graph.neighbors, sites, bounds, measured, depth)
     return ReplicaSnapshot(
         sample_times=config.sample_times,
@@ -301,15 +316,20 @@ def estimate_densities(
     realizations; for a RandomBallSource also a fresh tree per replica),
     averages each observable over the measured vertices within a replica,
     and reports the mean over replicas with the standard error of the
-    replica means.  Replica r derives its streams from
-    SeedSequence(seed, spawn_key=(r, 0)) for the graph draw and
-    spawn_key=(r, 1) for arrivals, so results are reproducible and
-    independent of scheduling; the reduction order over replicas is fixed.
+    replica means.  A fixed ball is cut to the light cone of its measured
+    vertices once, before the replicas run; a RandomBallSource is built
+    inside each replica, so only the recipe is sent.  Replica r derives
+    its streams from SeedSequence(seed, spawn_key=(r, 0)) for the graph
+    draw and spawn_key=(r, 1) for arrivals, so results are reproducible
+    and independent of scheduling; the reduction order over replicas is
+    fixed.
     """
     if n_jobs < 1:
         raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
     names = observable_names(config)
     reps = config.replicas
+    if isinstance(graph, GraphInstance):
+        graph = _cut_to_light_cone(graph, config)
     tasks = [(graph, config, r) for r in range(reps)]
     stats = np.empty((reps, len(names), len(config.sample_times)), dtype=np.float64)
     if n_jobs == 1 or reps == 1:

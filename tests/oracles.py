@@ -156,24 +156,27 @@ def _predicted_code(site: list[int], nbrs: list[list[int]]) -> int:
 
 
 def replay(
-    graph: GraphInstance, config: SimConfig, seed: int
+    graph: GraphInstance, config: SimConfig, seed: int, cone: int | None = None
 ) -> tuple[np.ndarray, list[list[int]]]:
     """Replay one replica event by event, asserting every transition.
 
-    Draws the arrival stream the way deposit.run_replica does (Poisson
-    event count, sorted uniform times, uniform integer sites) but keeps
+    Draws the arrival stream over the first `cone` vertex ids (default:
+    every vertex) the way deposit.run_replica draws it over the measured
+    vertices' light cone (Poisson event count, uniform times, uniform
+    integer sites), but sorts the times and walks them one by one, keeps
     each vertex's whole stack of settlement heights, and settles every
-    arrival.  A particle settles one above the highest stack in its closed
-    neighborhood.  Returns the masks (occupied heights up to config.depth)
-    of every vertex at each sample time, shape (n_times, n), where a sample
-    time includes the events at or before it; and each vertex's stack of
-    heights at the horizon, bottom first.
+    arrival on the whole graph.  A particle settles one above the highest
+    stack in its closed neighborhood.  Returns the masks (occupied heights
+    up to config.depth) of every vertex at each sample time, shape
+    (n_times, n), where a sample time includes the events at or before
+    it; and each vertex's stack of heights at the horizon, bottom first.
     """
     rng = np.random.default_rng(seed)
     n = graph.vertex_count
-    n_events = rng.poisson(n * config.horizon)
+    m = n if cone is None else cone
+    n_events = rng.poisson(m * config.horizon)
     times = np.sort(rng.random(n_events)) * config.horizon
-    sites = rng.integers(0, n, size=n_events)
+    sites = rng.integers(0, m, size=n_events)
 
     stacks: list[list[int]] = [[] for _ in range(n)]
     masks: list[list[int]] = []

@@ -68,6 +68,20 @@ def test_layer_dominance_validation():
         check_layer_dominance(d_max=1)
 
 
+def test_first_layer_beats_second_on_two_atom_laws():
+    # the abstract's "in all trees" for random trees: the first layer's
+    # jamming limit exceeds the second's, exactly, on every two-atom law
+    # with degrees 2..8 and weight 1/10, 1/2 or 9/10 on the smaller degree
+    laws = 0
+    for a in range(2, 9):
+        for b in range(a + 1, 9):
+            for w in (F(1, 10), F(1, 2), F(9, 10)):
+                av = averaged_densities(DegreeDistribution.from_pairs({a: w, b: 1 - w}))
+                assert av.Qrho1.limit_at_infinity() > av.Qrho2.limit_at_infinity(), (a, b, w)
+                laws += 1
+    assert laws == 63
+
+
 def test_gf_dominance_regular_pair():
     s, t = make_regular(2), make_regular(3)
     report = check_gf_dominance(s, t)

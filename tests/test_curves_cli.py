@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
@@ -13,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from screendep import exppoly
 from screendep.analytic import regular_densities
 from screendep.cli import build_parser, main
 from screendep.curves import (
@@ -91,6 +93,24 @@ def test_json_round_trip_shape():
     }
 
 
+def _reject_constant(name):
+    raise ValueError(f"not valid JSON: {name}")
+
+
+def test_json_writes_null_for_a_non_finite_point():
+    # JSON has no NaN or Infinity; CSV keeps nan
+    curve = DensityCurve(
+        times=(1.0,),
+        series=(("layer:1", (SeriesPoint(0.25, math.nan, 1),)),
+                ("layer:2", (SeriesPoint(math.inf, 0.5, 1),))),
+    )
+    data = json.loads(curve.to_json_text(), parse_constant=_reject_constant)
+    assert data["series"][0]["points"][0]["stderr"] is None
+    assert data["series"][0]["points"][0]["mean"] == 0.25
+    assert data["series"][1]["points"][0]["mean"] is None
+    assert "1.0,layer:1,0.25,nan,1" in curve.to_csv_text()
+
+
 def test_write_is_deterministic():
     assert demo_curve().to_csv_text() == demo_curve().to_csv_text()
     assert demo_curve().to_json_text() == demo_curve().to_json_text()
@@ -148,6 +168,42 @@ def test_simulate_cycle_stdout(capsys):
     assert curve.meta["spec"]["buffer"] == 0
     assert "out" not in curve.meta["spec"]
     assert all(p.n == 5 for p in curve.get("layer:1"))
+
+
+def test_simulate_single_replica_json_is_strict(capsys):
+    # one replica has no standard error; the JSON output stays valid
+    code, out, err = run_cli(
+        capsys,
+        "simulate", "--graph", "cycle", "--n", "20", "--T", "1", "--times", "1",
+        "--replicas", "1", "--format", "json",
+    )
+    assert code == 0, err
+    data = json.loads(out, parse_constant=_reject_constant)
+    assert all(p["stderr"] is None for s in data["series"] for p in s["points"])
+
+
+def test_cycle_stream_is_pinned(capsys):
+    # README's cycle example, shrunk: a change to the arrival sampling on
+    # cycles changes these bytes, so it has to be deliberate
+    code, out, err = run_cli(
+        capsys,
+        "simulate", "--graph", "cycle", "--n", "60", "--T", "4", "--times", "1,2,4",
+        "--replicas", "20", "--seed", "3", "--patterns", "0101",
+    )
+    assert code == 0, err
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "e7f7ab2498cd3265d4dcbe1f4f767395320138bc6c02ca74febec102cf0855d2"
+
+
+def test_term_budget_overflow_is_a_usage_error(capsys, monkeypatch):
+    # exit 1 means a failed validation or comparison; an expression too
+    # large for the term budget is a usage error with one line naming it
+    monkeypatch.setattr(exppoly, "TERM_BUDGET", 20)
+    code, out, err = run_cli(capsys, "analytic", "--atoms", "2:1/2,5:1/2", "--grid", "1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "budget 20" in err
+    assert len(err.splitlines()) == 1
 
 
 def test_simulate_is_reproducible(tmp_path, capsys):

@@ -3,15 +3,18 @@
 from __future__ import annotations
 
 import math
+import pickle
 
 import numpy as np
 import pytest
 
+from screendep import deposit
 from screendep.degree import DegreeDistribution
 from screendep.deposit import (
     MAX_TRACKED_LAYERS,
     SimConfig,
     _arrival_stream,
+    _cut_to_light_cone,
     _settle,
     estimate_densities,
     observable_names,
@@ -111,21 +114,27 @@ def test_settlements_conform_to_transition_rates(graph, horizon, observed):
     # the reference replay asserts the two-layer transition conditions at
     # every event; the kernel must then agree with it exactly at every
     # sample time, including the truncation of heights above the depth.
-    # The replay settles every arrival, so measuring the interior alone
-    # checks the kernel's light-cone filter as well, and the long runs
-    # check its skip of arrivals at saturated vertices, which the replay
-    # never skips.
+    # Measuring the interior alone, the kernel draws arrivals only in the
+    # interior's light cone: the replay draws over the same cone, counted
+    # here from the depths, but sorts the times and settles on the whole
+    # graph.  The long runs check the kernel's skip of arrivals at
+    # saturated vertices, which the replay never skips.
     times = tuple(horizon * f for f in (0.25, 0.625, 1.0))
     cfg = SimConfig(horizon=horizon, sample_times=times, **observed)
     everyone = range(graph.vertex_count)
     interior = list(graph.interior)
+    cone = None
+    if graph.depth is not None:
+        reach = max(graph.depth[v] for v in interior) + cfg.depth
+        cone = sum(d <= reach for d in graph.depth)
     arrivals = saturated = 0
     for r in range(8):
         reference, stacks = replay(graph, cfg, seed=1000 + r)
         snap = run_replica(graph, cfg, rng=1000 + r, measured=everyone)
         assert np.array_equal(snap.masks, reference)
+        inner, _ = replay(graph, cfg, seed=1000 + r, cone=cone)
         snap = run_replica(graph, cfg, rng=1000 + r, measured=interior)
-        assert np.array_equal(snap.masks, reference[:, interior])
+        assert np.array_equal(snap.masks, inner[:, interior])
         # an arrival found the stack at its previous top, the height below
         arrivals += sum(len(s) for s in stacks)
         saturated += sum(h >= cfg.depth for s in stacks for h in s[:-1])
@@ -167,6 +176,21 @@ def test_light_cone_decides_the_lowest_layers():
     assert too_small > 0
 
 
+def _with_arrivals_outside(sites, bounds, times, cone, n, rng):
+    """The stream with arrivals at ids in [cone, n) inserted at random
+    positions of every segment between sample times, as many as a stream
+    drawn over all n vertices would put there."""
+    out, new_bounds, prev, t_prev = [], [], 0, 0.0
+    for bound, t in zip(bounds, times):
+        k = rng.poisson((n - cone) * (t - t_prev))
+        at = rng.integers(0, bound - prev + 1, size=k)
+        segment = np.asarray(sites[prev:bound], dtype=np.int64)
+        out += np.insert(segment, at, rng.integers(cone, n, size=k)).tolist()
+        new_bounds.append(len(out))
+        prev, t_prev = bound, t
+    return out + list(sites[prev:]), new_bounds
+
+
 @pytest.mark.parametrize(
     "build, measure, seeds",
     [
@@ -182,25 +206,74 @@ def test_light_cone_decides_the_lowest_layers():
     "observed", [{}, {"layers": (1,), "patterns": ("0101",)}], ids=["depth2", "depth4"]
 )
 def test_light_cone_filter_is_exact(build, measure, seeds, observed):
-    # run_replica settles only the arrivals within distance depth of a
-    # measured vertex; its masks must equal those of settling every arrival
-    # of the same stream, at every sample time.  Negative control: the cone
-    # one level shallower misses arrivals that matter.
+    # run_replica draws arrivals only within distance depth of a measured
+    # vertex, and its masks are those of settling that stream.  Arrivals
+    # outside the cone cannot reach the measured layers: inserting them
+    # anywhere in the run's own stream, at the rate of the whole ball, must
+    # leave the masks as they are at every sample time.  Negative control:
+    # the cone one level shallower misses arrivals that matter.
     cfg = SimConfig(horizon=4.0, sample_times=(0.5, 1.0, 2.0, 4.0), measure=measure, **observed)
-    too_small = 0
+    depth = cfg.depth
+    extra = np.random.default_rng(99)
+    too_small = inserted = partial_cones = 0
     for seed in range(seeds):
         graph = build(seed)
         measured = graph.interior if measure == "interior" else (graph.root,)
-        sites, bounds = _arrival_stream(graph.vertex_count, cfg, np.random.default_rng(seed))
-        full = np.array(_settle(graph.neighbors, sites, bounds, measured, cfg.depth))
+        reach = max(graph.depth[v] for v in measured) + cfg.depth
+        cone = sum(d <= reach for d in graph.depth)
+        sites, bounds = _arrival_stream(cone, cfg, np.random.default_rng(seed))
         snap = run_replica(graph, cfg, rng=seed)
         assert snap.measured == tuple(measured)
-        assert np.array_equal(snap.masks, full)
-        reach = max(graph.depth[v] for v in measured) + cfg.depth
+        assert np.array_equal(snap.masks, _settle(graph.neighbors, sites, bounds, measured, depth))
+        more, more_bounds = _with_arrivals_outside(
+            sites, bounds, cfg.sample_times, cone, graph.vertex_count, extra
+        )
+        inserted += len(more) - len(sites)
+        partial_cones += cone < graph.vertex_count
+        assert np.array_equal(
+            snap.masks, _settle(graph.neighbors, more, more_bounds, measured, depth)
+        )
         shallower = sum(d < reach for d in graph.depth)
-        short = _prefix_masks(graph.neighbors, shallower, sites, bounds, measured, cfg.depth)
-        too_small += not np.array_equal(short, full)
+        short = _prefix_masks(graph.neighbors, shallower, sites, bounds, measured, depth)
+        too_small += not np.array_equal(short, snap.masks)
     assert too_small > 0
+    # the exactness half is vacuous only where every cone is the whole ball
+    assert (inserted > 0) == (partial_cones > 0)
+
+
+@pytest.mark.parametrize("measure", ["interior", "root"])
+@pytest.mark.parametrize(
+    "observed, cones",
+    [({}, {"interior": 94, "root": 10}),
+     ({"layers": (1,), "patterns": ("0101",)}, {"interior": 382, "root": 46})],
+    ids=["depth2", "depth4"],
+)
+def test_ball_cut_to_its_light_cone_gives_the_same_masks(measure, observed, cones, monkeypatch):
+    # estimate_densities cuts a fixed ball to the light cone of its measured
+    # vertices before it runs the replicas.  No arrival lands outside the
+    # cone, so each replica of the cut ball equals that of the full one,
+    # seed for seed.  The cone of T_3 to level r has 1 + 3(2^r - 1)
+    # vertices: interior vertices reach level 3 + depth, the root level depth.
+    ball = build_regular_ball(3, radius=7, buffer=4)
+    cfg = SimConfig(horizon=4.0, sample_times=(0.5, 1.0, 2.0, 4.0), replicas=8, seed=5,
+                    measure=measure, **observed)
+    cut = _cut_to_light_cone(ball, cfg)
+    assert cut.vertex_count == cones[measure]
+    for seed in range(20):
+        full, short = run_replica(ball, cfg, rng=seed), run_replica(cut, cfg, rng=seed)
+        assert short.measured == full.measured
+        assert np.array_equal(short.masks, full.masks)
+    # the replicas receive the cut ball, and the estimate is that of the full one
+    sent = []
+    task = deposit._replica_task
+    monkeypatch.setattr(deposit, "_replica_task", lambda args: sent.append(args[0]) or task(args))
+    text = estimate_densities(ball, cfg).to_csv_text()
+    assert sent == [cut] * cfg.replicas
+    monkeypatch.setattr(deposit, "_cut_to_light_cone", lambda graph, config: graph)
+    assert estimate_densities(ball, cfg).to_csv_text() == text
+    assert sent[cfg.replicas:] == [ball] * cfg.replicas
+    if cut.vertex_count < ball.vertex_count:
+        assert len(pickle.dumps(cut)) < len(pickle.dumps(ball))
 
 
 # -- arrival process -----------------------------------------------------------
