@@ -5,7 +5,7 @@ one above the highest stack in their closed neighborhood, so tall
 neighbors screen a site from the lower layers.  The package computes the
 time-dependent layer densities and single-site pattern probabilities of
 this process two independent ways: exactly, inside a ring of exponential
-polynomials with rational coefficients, and by event-driven Monte Carlo
+polynomials with rational coefficients, and by exact Monte Carlo
 on finite graphs.  Comparison statements between graph ensembles are
 shipped as machine-checked certificates.
 """

@@ -1,36 +1,44 @@
-"""Event-driven simulation of screened multilayer deposition.
+"""Simulation of screened multilayer deposition, settled one layer at a time.
 
 Each vertex of a finite graph receives particles at unit rate.  A particle
 arriving at v settles at height 1 + max over the closed neighborhood of v
 of the current top height, i.e. it is blocked by the tallest stack it can
-see, including v's own.  The simulator realizes the arrival process on
-m vertices exactly: the number of arrivals on [0, horizon] is
-Poisson(m * horizon), arrival times are iid uniform, and sites are iid
-uniform over the m vertices.
+see, including v's own.
 
-Per vertex we track the top height, exact below the deepest layer an
-observable reads, and a bitmask of the occupied layers up to that layer
-(bit h - 1 set iff some particle sits at height h).  Pattern observables
-are binary words over a window of the lowest layers, written top layer
-first: "0101" means layer 4 empty, layer 3 occupied, layer 2 empty,
-layer 1 occupied.
+Per vertex we report a bitmask of the occupied layers up to the deepest
+layer an observable reads, the depth (bit h - 1 set iff some particle sits
+at height h).  Pattern observables are binary words over a window of the
+lowest layers, written top layer first: "0101" means layer 4 empty, layer
+3 occupied, layer 2 empty, layer 1 occupied.
 
-The lowest L layers at a vertex are decided by the arrivals within
-distance L of it (its light cone).  On a ball, whose vertices are numbered
-breadth-first, the light cones of the measured vertices lie in a prefix of
-the vertex ids, and the arrivals are drawn over that prefix alone (m is
-its size; on a cycle, or when every vertex is measured, m = n).  The
-arrival process restricted to a set of vertices is the same Poisson
-process on that set.  A fixed ball is cut to the prefix before it is sent
-to the replicas; no arrival lands outside it, so the cut changes nothing.
+The arrivals are never put in time order.  Let T_k(v) be the time at which
+v's stack first reaches layer k, and S_k(v) = min over the neighbors u of v
+of T_k(u).  Then T_1(v) is v's first arrival, and
 
-Within the light cone the kernel also skips every arrival at a saturated
-vertex, one whose stack already reaches the deepest tracked layer.  Each
-settlement raises a top by at least one, so such an arrival settles above
-that layer; and a neighbor that sees it already sees a stack at that
-layer, so it settles above the layer either way.  The tops truncated at
-the tracked depth therefore follow the same path with or without these
-arrivals, and so do the masks.
+    T_{k+1}(v) = T_k(v)                 if S_k(v) < T_k(v),
+    T_{k+1}(v) = v's next arrival       otherwise;
+
+v holds a particle at height k from T_k(v) on exactly when T_k(v) < S_k(v).
+Proof: the arrival at T_k(v) finds v's own stack below k, so it lands
+above k if a neighbor already reaches k, and at k otherwise.  Every later
+arrival at v lands above v's top, so height k is filled then or never.
+Once v's top is k, v's next arrival lifts it to k + 1 or above.
+
+Each layer takes at most one new arrival per vertex, so each vertex's first
+depth arrival times decide every mask: a (depth, m) matrix of cumulative
+sums of Exp(1) gaps, settled in depth passes over a padded neighbor table.
+The work does not grow with the horizon, which only bounds the sample
+times.
+
+T_k(v) reads the arrivals within distance k - 1 of v, and the mask bit of
+layer k those within distance k: the lowest L layers at a vertex are
+decided by its light cone, the vertices within distance L.  On a ball,
+whose vertices are numbered breadth-first, the light cones of the measured
+vertices lie in a prefix of the vertex ids, and the arrivals are drawn
+over that prefix alone (m is its size; on a cycle, or when every vertex is
+measured, m = n).  A neighbor outside the prefix receives no arrival and
+never reaches a layer: its T_k is infinite.  A fixed ball is cut to the
+prefix before it is sent to the replicas, which changes nothing.
 """
 
 from __future__ import annotations
@@ -40,6 +48,7 @@ import numbers
 from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import zip_longest
 from typing import Sequence, Union
 
 import numpy as np
@@ -74,7 +83,9 @@ def _is_integer(x) -> bool:
 class SimConfig:
     """Run parameters for a deposition estimate.
 
-    sample_times must be strictly increasing and lie in (0, horizon].
+    sample_times must be strictly increasing and lie in (0, horizon]; the
+    horizon bounds them and nothing else, since a replica's work does not
+    depend on it.
     layers lists the single-layer densities to report; patterns are
     top-down binary words over the lowest len(pattern) layers.  measure
     selects which vertices are averaged: the interior set or the root
@@ -166,19 +177,32 @@ def _light_cone(graph: GraphInstance, measured: tuple[int, ...], depth: int) -> 
     return bisect_right(graph.depth, reach)
 
 
-def _arrival_stream(m: int, config: SimConfig, rng: np.random.Generator) -> tuple[list, list]:
-    """Arrival sites on m vertices in time order, and per sample time the
-    number of arrivals at or before it.
+def _first_arrivals(m: int, depth: int, rng: np.random.Generator) -> np.ndarray:
+    """The first depth arrival times at each of m vertices, shape (depth, m):
+    row k holds every vertex's (k + 1)-th arrival, a sum of k + 1 Exp(1) gaps."""
+    return rng.standard_exponential((depth, m)).cumsum(axis=0)
 
-    The times are left unsorted: the sites are iid, so drawing them in
-    rank order gives the sites of the sorted times, and each count is the
-    number of times at or before the sample time.
+
+def _cone_arrays(graph: GraphInstance, m: int, measured: tuple[int, ...]):
+    """The padded neighbor table of the first m vertex ids, shape
+    (width, m), and the measured ids as an index array.
+
+    Short rows are padded, and neighbors outside the prefix replaced, with
+    the sentinel id m, which never reaches a layer.  The arrays are kept
+    on the graph, which is immutable, for the last (m, measured) asked of
+    it, and are read-only.  So the replicas of one fixed graph build them
+    once; a random ball, new in each replica, builds them over its light
+    cone only.
     """
-    n_events = rng.poisson(m * config.horizon)
-    times = rng.random(n_events) * config.horizon
-    sites = rng.integers(0, m, size=n_events)
-    bounds = [int(np.count_nonzero(times <= t)) for t in config.sample_times]
-    return sites.tolist(), bounds
+    kept = graph.__dict__.get("_cone_arrays")
+    if kept is not None and kept[0] == m and kept[1] == measured:
+        return kept[2]
+    columns = list(zip_longest(*graph.neighbors[:m], fillvalue=m)) or [(m,) * m]
+    table = np.minimum(np.array(columns, dtype=np.intp), m)
+    index = np.fromiter(measured, dtype=np.intp, count=len(measured))
+    table.flags.writeable = index.flags.writeable = False
+    object.__setattr__(graph, "_cone_arrays", (m, measured, (table, index)))
+    return table, index
 
 
 def _cut_to_light_cone(graph: GraphInstance, config: SimConfig) -> GraphInstance:
@@ -199,38 +223,34 @@ def _cut_to_light_cone(graph: GraphInstance, config: SimConfig) -> GraphInstance
     )
 
 
-def _settle(neighbors, sites: list, bounds: list, measured, depth: int) -> list[list[int]]:
-    """Settle the arrivals in order; the measured masks after each bound.
+def _settle_layers(
+    table: np.ndarray, arrivals: np.ndarray, measured: np.ndarray, sample_times
+) -> np.ndarray:
+    """The measured masks at the sample times, shape (n_times, n_measured).
 
-    A particle arriving at v settles one above the tallest stack in v's
-    closed neighborhood.  Masks keep layers 1..depth only.
-
-    An arrival at a vertex whose top is already at depth or above is
-    skipped: it would settle above depth and set no mask bit, and every
-    neighbor that reads this top already lands above depth.  So tops are
-    exact below depth, a top >= depth only means "saturated", and the
-    masks are those of settling every arrival.
+    arrivals[j, v] is vertex v's (j + 1)-th arrival time and table is the
+    padded neighbor table of the same m vertices.  Pass k holds each
+    vertex's T_k: a vertex whose neighbors all reach layer k later settles
+    a particle at height k and takes its next arrival for T_{k+1}; any
+    other vertex jumps past layer k and keeps T_k.
     """
-    tops = [0] * len(neighbors)
-    masks = [0] * len(neighbors)
-    rows = []
-    prev = 0
-    for bound in bounds:
-        for v in sites[prev:bound]:
-            h = tops[v]
-            if h >= depth:
-                continue
-            for u in neighbors[v]:
-                tu = tops[u]
-                if tu > h:
-                    h = tu
-            h += 1
-            tops[v] = h
-            if h <= depth:
-                masks[v] |= 1 << (h - 1)
-        prev = bound
-        rows.append([masks[v] for v in measured])
-    return rows
+    depth, m = arrivals.shape
+    flat = arrivals.ravel()
+    passage = np.empty(m + 1)
+    passage[m] = np.inf
+    t_k = passage[:m]
+    t_k[:] = arrivals[0]
+    used = np.arange(m)
+    times = np.asarray(sample_times, dtype=np.float64)[:, None]
+    masks = np.zeros((len(times), len(measured)), dtype=np.int64)
+    for k in range(depth):
+        lands = t_k < passage[table].min(axis=0)
+        held = (t_k[measured] <= times) & lands[measured]
+        masks |= held.astype(np.int64) << k
+        if k + 1 < depth:
+            used += lands * m
+            t_k[:] = flat[used]
+    return masks
 
 
 def run_replica(
@@ -242,12 +262,12 @@ def run_replica(
 ) -> ReplicaSnapshot:
     """Simulate one arrival realization and snapshot it at the sample times.
 
-    The lowest depth layers at a vertex are decided by the arrivals within
-    distance depth of it.  On a ball the arrivals are drawn only in the
-    measured vertices' light cone, the first vertex ids, so the stream
-    depends on the cone alone and a ball cut to its cone gives the same
-    masks.  A cycle must have at least 2 * depth + 1 vertices: on a smaller
-    one that neighborhood wraps around onto itself.
+    Each vertex of the measured vertices' light cone, the first m vertex
+    ids, draws its first depth arrival times, and _settle_layers settles
+    them one layer at a time (see the module docstring).  The draw depends
+    on the cone alone, so a ball cut to its cone gives the same masks, and
+    not on the horizon.  A cycle must have at least 2 * depth + 1 vertices:
+    on a smaller one the light cone wraps around onto itself.
     """
     depth = config.depth
     if graph.kind == "cycle" and graph.vertex_count < 2 * depth + 1:
@@ -259,13 +279,10 @@ def run_replica(
     if measured is None:
         measured = _measured_vertices(graph, config)
     measured = tuple(measured)
-    sites, bounds = _arrival_stream(_light_cone(graph, measured, depth), config, rng)
-    masks = _settle(graph.neighbors, sites, bounds, measured, depth)
-    return ReplicaSnapshot(
-        sample_times=config.sample_times,
-        measured=measured,
-        masks=np.array(masks, dtype=np.int64),
-    )
+    m = _light_cone(graph, measured, depth)
+    table, index = _cone_arrays(graph, m, measured)
+    masks = _settle_layers(table, _first_arrivals(m, depth, rng), index, config.sample_times)
+    return ReplicaSnapshot(sample_times=config.sample_times, measured=measured, masks=masks)
 
 
 def snapshot_observables(snap: ReplicaSnapshot, config: SimConfig) -> np.ndarray:

@@ -2,7 +2,9 @@
 
 Exact side: the code-2 inflow rate, the rho2 display, the two-atom C_t(n, x)
 route to Qrho2 and the binomial double sum for QD2.  Simulator: an
-event-by-event replay that asserts the two-layer transition conditions.
+event-by-event replay of given arrival times that asserts the two-layer
+transition conditions, the rule the package's layer-by-layer kernel must
+match.
 """
 
 from __future__ import annotations
@@ -155,28 +157,24 @@ def _predicted_code(site: list[int], nbrs: list[list[int]]) -> int:
     return _code(site)
 
 
-def replay(
-    graph: GraphInstance, config: SimConfig, seed: int, cone: int | None = None
-) -> tuple[np.ndarray, list[list[int]]]:
-    """Replay one replica event by event, asserting every transition.
+def replay(graph: GraphInstance, config: SimConfig, arrivals: np.ndarray) -> np.ndarray:
+    """Settle given arrivals event by event, asserting every transition.
 
-    Draws the arrival stream over the first `cone` vertex ids (default:
-    every vertex) the way deposit.run_replica draws it over the measured
-    vertices' light cone (Poisson event count, uniform times, uniform
-    integer sites), but sorts the times and walks them one by one, keeps
-    each vertex's whole stack of settlement heights, and settles every
-    arrival on the whole graph.  A particle settles one above the highest
-    stack in its closed neighborhood.  Returns the masks (occupied heights
-    up to config.depth) of every vertex at each sample time, shape
-    (n_times, n), where a sample time includes the events at or before
-    it; and each vertex's stack of heights at the horizon, bottom first.
+    arrivals[j, v] is the (j + 1)-th arrival time at vertex v, for the
+    first arrivals.shape[1] vertex ids; the other vertices receive none.
+    The arrivals are sorted by time and settled one by one on the whole
+    graph, each vertex keeping its whole stack of settlement heights.  A
+    particle settles one above the highest stack in its closed
+    neighborhood.  Returns the masks (occupied heights up to config.depth)
+    of every vertex at each sample time, shape (n_times, n), where a sample
+    time includes the events at or before it.  Arrivals after the last
+    sample time cannot change a mask and are not settled.
     """
-    rng = np.random.default_rng(seed)
     n = graph.vertex_count
-    m = n if cone is None else cone
-    n_events = rng.poisson(m * config.horizon)
-    times = np.sort(rng.random(n_events)) * config.horizon
-    sites = rng.integers(0, m, size=n_events)
+    times = np.asarray(arrivals, dtype=np.float64)
+    order = np.argsort(times, axis=None, kind="stable")
+    sites = (order % times.shape[1]).tolist()
+    times = times.ravel()[order].tolist()
 
     stacks: list[list[int]] = [[] for _ in range(n)]
     masks: list[list[int]] = []
@@ -186,9 +184,11 @@ def replay(
         masks.append([sum(1 << (h - 1) for h in s if h <= config.depth) for s in stacks])
         pending.pop(0)
 
-    for t, v in zip(times.tolist(), sites.tolist()):
+    for t, v in zip(times, sites):
         while pending and pending[0] < t:
             snapshot()
+        if not pending:
+            break
         nbrs = [stacks[u] for u in graph.neighbors[v]]
         expected = _predicted_code(stacks[v], nbrs)
         stacks[v].append(1 + max(max(s, default=0) for s in (stacks[v], *nbrs)))
@@ -198,4 +198,4 @@ def replay(
         )
     while pending:
         snapshot()
-    return np.array(masks, dtype=np.int64), stacks
+    return np.array(masks, dtype=np.int64)

@@ -192,7 +192,26 @@ def test_cycle_stream_is_pinned(capsys):
     )
     assert code == 0, err
     digest = hashlib.sha256(out.encode()).hexdigest()
-    assert digest == "e7f7ab2498cd3265d4dcbe1f4f767395320138bc6c02ca74febec102cf0855d2"
+    assert digest == "b06ac28013e004b8ccd124fca2534ce6334d1b093af7b2d31e13a915c4b19b75"
+
+
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        ("--graph regular --d 3 --R 6 --buffer 2 --T 4 --times 1,2,4 --replicas 20",
+         "264e61fcf13164ace31355b07dbbfcc641eaf69c8668ebb607318adf9233679b"),
+        ("--graph random --atoms 2:1/2,3:1/2 --R 6 --buffer 2 --T 5 --times 1,5 "
+         "--replicas 40 --measure root",
+         "40d248750eb6bcbd99946aebde345ffa639eb00cd786f329f02dec5c5b9bc7bf"),
+    ],
+    ids=["regular_interior", "random_root"],
+)
+def test_ball_streams_are_pinned(capsys, argv, want):
+    # the same on balls, whose draws also depend on the light cone and, on
+    # a random ball, on the graph stream: a change to either is deliberate
+    code, out, err = run_cli(capsys, "simulate", *argv.split(), "--seed", "3")
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == want
 
 
 def test_term_budget_overflow_is_a_usage_error(capsys, monkeypatch):

@@ -13,9 +13,10 @@ from screendep.degree import DegreeDistribution
 from screendep.deposit import (
     MAX_TRACKED_LAYERS,
     SimConfig,
-    _arrival_stream,
+    _cone_arrays,
     _cut_to_light_cone,
-    _settle,
+    _first_arrivals,
+    _settle_layers,
     estimate_densities,
     observable_names,
     run_replica,
@@ -26,6 +27,15 @@ from screendep.graphs import RandomBallSource, build_cycle, build_regular_ball, 
 from oracles import replay
 
 TWO_THREE = DegreeDistribution.from_pairs({2: "1/2", 3: "1/2"})
+WIDE = DegreeDistribution.from_pairs({2: "1/2", 3: "1/4", 5: "1/4"})
+
+
+def _continued(arrivals, horizon, rng):
+    """The arrivals, continued row by row with fresh Exp(1) gaps until
+    every vertex's last arrival lies past the horizon."""
+    while arrivals[-1].min() <= horizon:
+        arrivals = np.vstack([arrivals, arrivals[-1] + rng.standard_exponential(arrivals.shape[1])])
+    return arrivals
 
 
 # -- configuration -----------------------------------------------------------
@@ -112,93 +122,124 @@ _DEPTH4 = {"patterns": ("0101",)}
 )
 def test_settlements_conform_to_transition_rates(graph, horizon, observed):
     # the reference replay asserts the two-layer transition conditions at
-    # every event; the kernel must then agree with it exactly at every
-    # sample time, including the truncation of heights above the depth.
-    # Measuring the interior alone, the kernel draws arrivals only in the
-    # interior's light cone: the replay draws over the same cone, counted
-    # here from the depths, but sorts the times and settles on the whole
-    # graph.  The long runs check the kernel's skip of arrivals at
-    # saturated vertices, which the replay never skips.
+    # every event and settles every arrival up to the horizon; the kernel
+    # reads only each vertex's first depth arrivals and must agree with it
+    # exactly at every sample time, including the truncation of heights
+    # above the depth.  Measuring the interior alone, the kernel draws
+    # arrivals only in the interior's light cone: the replay gets that
+    # cone's arrivals, counted here from the depths, but settles on the
+    # whole graph.  The long runs check that the arrivals past a vertex's
+    # depth-th, which the kernel never draws, change nothing.
     times = tuple(horizon * f for f in (0.25, 0.625, 1.0))
     cfg = SimConfig(horizon=horizon, sample_times=times, **observed)
-    everyone = range(graph.vertex_count)
+    depth = cfg.depth
+    n = graph.vertex_count
     interior = list(graph.interior)
-    cone = None
+    cone = n
     if graph.depth is not None:
-        reach = max(graph.depth[v] for v in interior) + cfg.depth
+        reach = max(graph.depth[v] for v in interior) + depth
         cone = sum(d <= reach for d in graph.depth)
-    arrivals = saturated = 0
+    extra = np.random.default_rng(7)
+    settled = undrawn = 0
     for r in range(8):
-        reference, stacks = replay(graph, cfg, seed=1000 + r)
-        snap = run_replica(graph, cfg, rng=1000 + r, measured=everyone)
+        seed = 1000 + r
+        arrivals = _continued(_first_arrivals(n, depth, np.random.default_rng(seed)), horizon, extra)
+        reference = replay(graph, cfg, arrivals)
+        snap = run_replica(graph, cfg, rng=seed, measured=range(n))
         assert np.array_equal(snap.masks, reference)
-        inner, _ = replay(graph, cfg, seed=1000 + r, cone=cone)
-        snap = run_replica(graph, cfg, rng=1000 + r, measured=interior)
+        inside = _continued(_first_arrivals(cone, depth, np.random.default_rng(seed)), horizon, extra)
+        inner = replay(graph, cfg, inside)
+        snap = run_replica(graph, cfg, rng=seed, measured=interior)
         assert np.array_equal(snap.masks, inner[:, interior])
-        # an arrival found the stack at its previous top, the height below
-        arrivals += sum(len(s) for s in stacks)
-        saturated += sum(h >= cfg.depth for s in stacks for h in s[:-1])
+        before = arrivals <= horizon
+        settled += np.count_nonzero(before)
+        undrawn += np.count_nonzero(before[depth:])
     if horizon > 4.0:
-        # most arrivals take the skip path
-        assert saturated >= arrivals / 2, (saturated, arrivals)
+        # most of the settled arrivals lie past the kernel's draw
+        assert undrawn >= settled / 2, (undrawn, settled)
 
 
-def _prefix_masks(neighbors, cone, sites, bounds, measured, depth):
-    """Measured masks when only the arrivals at vertex ids below cone settle."""
-    inside = np.asarray(sites) < cone
-    kept = np.concatenate(([0], np.cumsum(inside)))[bounds].tolist()
-    sub = np.asarray(sites)[inside].tolist()
-    return np.array(_settle(neighbors, sub, kept, measured, depth))
+@pytest.mark.parametrize("depth", [1, 2, 3, 5])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda seed: build_cycle(150),
+        lambda seed: build_regular_ball(3, radius=6, buffer=2),
+        lambda seed: build_random_ball(WIDE, radius=5, buffer=2, rng=seed),
+    ],
+    ids=["cycle", "regular_ball", "random_ball"],
+)
+def test_first_passage_kernel_equals_the_event_replay(build, depth):
+    # each vertex draws depth + 6 arrivals: the replay settles all of them
+    # one event at a time, the kernel reads only the first depth, one layer
+    # per pass.  Every vertex's masks must be equal at every sample time,
+    # the last of them long after the lowest layers have jammed.
+    cfg = SimConfig(horizon=30.0, sample_times=(0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 30.0),
+                    layers=(depth,))
+    for seed in range(25):
+        graph = build(seed)
+        n = graph.vertex_count
+        arrivals = _first_arrivals(n, depth + 6, np.random.default_rng(seed))
+        reference = replay(graph, cfg, arrivals)
+        table, everyone = _cone_arrays(graph, n, tuple(range(n)))
+        masks = _settle_layers(table, arrivals[:depth], everyone, cfg.sample_times)
+        assert np.array_equal(masks, reference), seed
 
 
-def _root_masks_on_ball(radius, sites, bounds, depth):
+def test_kernel_without_the_jump_rule_fails_the_replay():
+    # negative control: a kernel that always takes a vertex's next arrival
+    # for the next layer, even when a neighbor reached the layer first and
+    # the arrival jumped past it, gives masks the replay does not
+    graph = build_cycle(200)
+    depth = 3
+    cfg = SimConfig(horizon=30.0, sample_times=(0.5, 1.0, 2.0, 30.0), layers=(depth,))
+    times = np.asarray(cfg.sample_times)[:, None]
+    differs = 0
+    for seed in range(20):
+        arrivals = _first_arrivals(200, depth + 6, np.random.default_rng(seed))
+        reference = replay(graph, cfg, arrivals)
+        first = arrivals[:depth]
+        screen = np.minimum(np.roll(first, 1, axis=1), np.roll(first, -1, axis=1))
+        settled = np.where(first < screen, first, np.inf)
+        masks = sum((settled[k] <= times).astype(np.int64) << k for k in range(depth))
+        differs += not np.array_equal(masks, reference)
+    assert differs > 0
+
+
+def _root_masks_on_ball(radius, arrivals, cfg):
     """Root masks from the arrivals that land in the radius-`radius` ball of T_3."""
     ball = build_regular_ball(3, radius)
-    return _prefix_masks(ball.neighbors, ball.vertex_count, sites, bounds, (0,), depth)
+    return replay(ball, cfg, arrivals[:, :ball.vertex_count])[:, :1]
 
 
 def test_light_cone_decides_the_lowest_layers():
     # the lowest L layers at a vertex depend only on the arrivals within
     # distance L of it.  Breadth-first numbering makes the radius-L ball the
-    # first vertices of the radius-9 ball, so dropping every arrival outside
+    # first vertices of the radius-6 ball, so dropping every arrival outside
     # it must leave the root's lowest L layers exactly as they were.
-    big = build_regular_ball(3, 9)
-    cfg = SimConfig(horizon=3.0, sample_times=(0.5, 1.0, 2.0, 3.0))
+    big = build_regular_ball(3, 6)
+    cfg = SimConfig(horizon=3.0, sample_times=(0.5, 1.0, 2.0, 3.0), layers=(4,))
     too_small = 0
     for seed in range(100):
-        sites, bounds = _arrival_stream(big.vertex_count, cfg, np.random.default_rng(seed))
-        full = np.array(_settle(big.neighbors, sites, bounds, (0,), 4))
+        rng = np.random.default_rng(seed)
+        arrivals = _continued(rng.standard_exponential((1, big.vertex_count)), cfg.horizon, rng)
+        full = replay(big, cfg, arrivals)[:, :1]
         for depth in range(1, 5):
-            low = full & ((1 << depth) - 1)
-            assert np.array_equal(_root_masks_on_ball(depth, sites, bounds, depth), low)
+            low = (1 << depth) - 1
+            assert np.array_equal(_root_masks_on_ball(depth, arrivals, cfg) & low, full & low)
         # negative control: the radius-1 ball does not decide layer 2
-        too_small += not np.array_equal(_root_masks_on_ball(1, sites, bounds, 2), full & 3)
+        too_small += not np.array_equal(_root_masks_on_ball(1, arrivals, cfg) & 3, full & 3)
     assert too_small > 0
-
-
-def _with_arrivals_outside(sites, bounds, times, cone, n, rng):
-    """The stream with arrivals at ids in [cone, n) inserted at random
-    positions of every segment between sample times, as many as a stream
-    drawn over all n vertices would put there."""
-    out, new_bounds, prev, t_prev = [], [], 0, 0.0
-    for bound, t in zip(bounds, times):
-        k = rng.poisson((n - cone) * (t - t_prev))
-        at = rng.integers(0, bound - prev + 1, size=k)
-        segment = np.asarray(sites[prev:bound], dtype=np.int64)
-        out += np.insert(segment, at, rng.integers(cone, n, size=k)).tolist()
-        new_bounds.append(len(out))
-        prev, t_prev = bound, t
-    return out + list(sites[prev:]), new_bounds
 
 
 @pytest.mark.parametrize(
     "build, measure, seeds",
     [
-        (lambda seed: build_regular_ball(3, radius=7, buffer=4), "interior", 30),
-        (lambda seed: build_random_ball(TWO_THREE, radius=8, buffer=4, rng=seed), "interior", 30),
-        # a single vertex rarely needs layer 4's whole cone: 10 of the first
+        (lambda seed: build_regular_ball(3, radius=9, buffer=6), "interior", 30),
+        (lambda seed: build_random_ball(TWO_THREE, radius=10, buffer=6, rng=seed), "interior", 30),
+        # a single vertex rarely needs layer 4's whole cone: 4 of the first
         # 300 seeds do, so the control needs more of them
-        (lambda seed: build_random_ball(TWO_THREE, radius=8, buffer=4, rng=seed), "root", 200),
+        (lambda seed: build_random_ball(TWO_THREE, radius=10, buffer=6, rng=seed), "root", 200),
     ],
     ids=["regular_interior", "random_interior", "random_root"],
 )
@@ -207,38 +248,41 @@ def _with_arrivals_outside(sites, bounds, times, cone, n, rng):
 )
 def test_light_cone_filter_is_exact(build, measure, seeds, observed):
     # run_replica draws arrivals only within distance depth of a measured
-    # vertex, and its masks are those of settling that stream.  Arrivals
-    # outside the cone cannot reach the measured layers: inserting them
-    # anywhere in the run's own stream, at the rate of the whole ball, must
-    # leave the masks as they are at every sample time.  Negative control:
-    # the cone one level shallower misses arrivals that matter.
+    # vertex, and its masks are those of settling that draw.  Arrivals
+    # outside the cone cannot reach the measured layers: giving every other
+    # vertex of the ball arrivals too must leave the masks as they are at
+    # every sample time.  The balls reach two levels past every cone, so
+    # each cone is a strict prefix.  Negative control: the cone one level
+    # shallower misses arrivals that matter.
     cfg = SimConfig(horizon=4.0, sample_times=(0.5, 1.0, 2.0, 4.0), measure=measure, **observed)
     depth = cfg.depth
     extra = np.random.default_rng(99)
-    too_small = inserted = partial_cones = 0
+    too_small = inserted = 0
+
+    def settle(graph, measured, arrivals):
+        table, index = _cone_arrays(graph, arrivals.shape[1], measured)
+        return _settle_layers(table, arrivals, index, cfg.sample_times)
+
     for seed in range(seeds):
         graph = build(seed)
+        n = graph.vertex_count
         measured = graph.interior if measure == "interior" else (graph.root,)
-        reach = max(graph.depth[v] for v in measured) + cfg.depth
+        reach = max(graph.depth[v] for v in measured) + depth
         cone = sum(d <= reach for d in graph.depth)
-        sites, bounds = _arrival_stream(cone, cfg, np.random.default_rng(seed))
+        assert cone < n
+        first = _first_arrivals(cone, depth, np.random.default_rng(seed))
         snap = run_replica(graph, cfg, rng=seed)
         assert snap.measured == tuple(measured)
-        assert np.array_equal(snap.masks, _settle(graph.neighbors, sites, bounds, measured, depth))
-        more, more_bounds = _with_arrivals_outside(
-            sites, bounds, cfg.sample_times, cone, graph.vertex_count, extra
-        )
-        inserted += len(more) - len(sites)
-        partial_cones += cone < graph.vertex_count
-        assert np.array_equal(
-            snap.masks, _settle(graph.neighbors, more, more_bounds, measured, depth)
-        )
+        assert np.array_equal(snap.masks, settle(graph, measured, first))
+        outside = _first_arrivals(n - cone, depth, extra)
+        inserted += np.count_nonzero(outside <= cfg.horizon)
+        everywhere = np.hstack([first, outside])
+        assert np.array_equal(snap.masks, settle(graph, measured, everywhere))
         shallower = sum(d < reach for d in graph.depth)
-        short = _prefix_masks(graph.neighbors, shallower, sites, bounds, measured, depth)
+        short = settle(graph, measured, first[:, :shallower])
         too_small += not np.array_equal(short, snap.masks)
     assert too_small > 0
-    # the exactness half is vacuous only where every cone is the whole ball
-    assert (inserted > 0) == (partial_cones > 0)
+    assert inserted > 0
 
 
 @pytest.mark.parametrize("measure", ["interior", "root"])
@@ -279,21 +323,24 @@ def test_ball_cut_to_its_light_cone_gives_the_same_masks(measure, observed, cone
 # -- arrival process -----------------------------------------------------------
 
 
-def test_arrival_counts_are_poisson():
-    # with iid uniform sites and a Poisson(n*T) event total, per-vertex
-    # counts are independent Poisson(T); chi-square at T = 2, 6 dof
-    cfg = SimConfig(horizon=2.0, sample_times=(2.0,), layers=(1,))
-    sites, bounds = _arrival_stream(1000, cfg, np.random.default_rng(5))
-    assert bounds == [len(sites)] and sites
-    counts = np.bincount(sites, minlength=1000)
-    cells = [0] * 7
-    for c in counts.tolist():
-        cells[min(c, 6)] += 1
+def test_first_arrivals_are_a_poisson_process():
+    # a vertex's row entries are the first depth points of a unit-rate
+    # Poisson process.  At depth 6 the number at or before T = 2 is
+    # min(Poisson(2), 6): chi-square, 6 dof.  The first is Exp(1):
+    # chi-square over 10 equiprobable bins, 9 dof.
+    arrivals = _first_arrivals(1000, 6, np.random.default_rng(5))
+    assert arrivals.shape == (6, 1000)
+    assert np.all(np.diff(arrivals, axis=0) > 0)
+    cells = np.bincount(np.count_nonzero(arrivals <= 2.0, axis=0), minlength=7)
     pmf = [math.exp(-2.0) * 2.0 ** k / math.factorial(k) for k in range(6)]
-    expected = [1000 * p for p in pmf] + [1000 * (1 - sum(pmf))]
-    assert min(expected) > 5
-    chi2 = sum((o - e) ** 2 / e for o, e in zip(cells, expected))
+    expected = np.array([1000 * p for p in pmf] + [1000 * (1 - sum(pmf))])
+    assert expected.min() > 5
+    chi2 = ((cells - expected) ** 2 / expected).sum()
     assert chi2 < 22.5, (chi2, cells)
+    edges = -np.log1p(-np.arange(1, 10) / 10)
+    cells = np.bincount(np.searchsorted(edges, arrivals[0]), minlength=10)
+    chi2 = ((cells - 100) ** 2 / 100).sum()
+    assert chi2 < 27.9, (chi2, cells)
 
 
 def test_snapshots_are_cumulative():
@@ -319,13 +366,15 @@ def test_layer_one_sites_form_an_independent_set():
 
 
 def test_masks_stay_below_depth():
-    # layers 1 and 2 give depth 2: settling the same stream untruncated
+    # layers 1 and 2 give depth 2: settling the same arrivals untruncated
     # reaches higher layers, and truncation drops exactly those bits
     g = build_cycle(30)
     cfg = SimConfig(horizon=12.0, sample_times=(12.0,), layers=(1, 2))
     snap = run_replica(g, cfg, rng=2)
-    sites, bounds = _arrival_stream(30, cfg, np.random.default_rng(2))
-    deep = np.array(_settle(g.neighbors, sites, bounds, range(30), MAX_TRACKED_LAYERS))
+    first = _first_arrivals(30, cfg.depth, np.random.default_rng(2))
+    arrivals = _continued(first, cfg.horizon, np.random.default_rng(3))
+    untruncated = SimConfig(horizon=12.0, sample_times=(12.0,), layers=(MAX_TRACKED_LAYERS,))
+    deep = replay(g, untruncated, arrivals)
     assert np.all(snap.masks < 1 << cfg.depth)
     assert np.count_nonzero(deep >= 1 << cfg.depth) > 10
     assert np.array_equal(snap.masks, deep & 3)
