@@ -97,17 +97,29 @@ def make_regular(d: int) -> DegreeDistribution:
 
 
 def parse_atoms(text: str, name: str | None = None) -> DegreeDistribution:
-    """Parse 'k:weight[,k:weight...]' with exact rational weights, e.g. '2:1/2,3:1/2'."""
-    pairs = []
+    """Parse 'k:weight[,k:weight...]' with exact rational weights, e.g. '2:1/2,3:1/2'.
+
+    The law is taken as written, not normalized: each degree appears once,
+    each weight is positive, and the weights sum to exactly 1.
+    """
+    weights: dict[int, Fraction] = {}
     for chunk in text.split(","):
         chunk = chunk.strip()
         if not chunk:
             continue
         try:
             deg_s, weight_s = chunk.split(":")
-            pairs.append((int(deg_s), Fraction(weight_s)))
+            d, w = int(deg_s), Fraction(weight_s)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"bad atom {chunk!r}: expected 'degree:weight'") from exc
-    if not pairs:
+        if d in weights:
+            raise ValueError(f"degree {d} appears more than once in {text!r}")
+        if w <= 0:
+            raise ValueError(f"degree {d} has weight {w}, weights must be positive")
+        weights[d] = w
+    if not weights:
         raise ValueError(f"no atoms found in {text!r}")
-    return DegreeDistribution.from_pairs(pairs, name=name)
+    total = sum(weights.values())
+    if total != 1:
+        raise ValueError(f"weights in {text!r} sum to {total}, not to 1")
+    return DegreeDistribution.from_pairs(weights, name=name)

@@ -128,6 +128,10 @@ class SimConfig:
             raise ValueError("nothing to observe: layers and patterns are both empty")
         if any(k < 1 for k in self.layers):
             raise ValueError(f"layers must be >= 1, got {self.layers}")
+        if len(set(self.layers)) < len(self.layers):
+            raise ValueError(f"layers must not repeat, got {self.layers}")
+        if len(set(self.patterns)) < len(self.patterns):
+            raise ValueError(f"patterns must not repeat, got {self.patterns}")
         if self.depth > MAX_TRACKED_LAYERS:
             raise ValueError(f"observables read layer {self.depth} > {MAX_TRACKED_LAYERS}")
         if self.measure not in ("interior", "root"):

@@ -5,15 +5,18 @@ ring of finite sums c * t^k * exp(-a t) with rational coefficients c, integer
 powers k >= 0 and nonnegative rational decay rates a.  The ring is closed
 under addition, multiplication, differentiation, integration from 0, and
 resolvents of the linear ODEs y' = -lam * y + forcing that the hierarchy of
-density equations produces.  All coefficient arithmetic is done with
-fractions.Fraction, so derived closed forms can be compared term by term
-with no floating-point tolerance.
+density equations produces.  Coefficients and rates are fractions.Fraction;
+a product is computed on integer numerators over common denominators and
+turned back into one Fraction per term.  Every result passes through one
+canonicalizer, so derived closed forms can be compared term by term with
+no floating-point tolerance.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable, Union
 
 Rational = Union[int, str, Fraction]
@@ -42,6 +45,26 @@ def _frac(x: Rational) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(x).__name__}")
 
 
+def _accumulate(acc: dict, key: tuple[Fraction, int], c: Fraction) -> None:
+    old = acc.get(key)
+    acc[key] = c if old is None else old + c
+
+
+def _canonical_terms(
+    merged: Iterable[tuple[tuple[Fraction, int], Fraction]],
+) -> tuple[tuple[Fraction, int, Fraction], ...]:
+    """The one canonical form of ((rate, power), coeff) pairs with distinct keys.
+
+    Sorted by (rate, power), zero coefficients dropped, TERM_BUDGET checked.
+    """
+    terms = tuple((a, k, c) for (a, k), c in sorted(merged, key=itemgetter(0)) if c)
+    if len(terms) > TERM_BUDGET:
+        raise TermBudgetError(
+            f"expression has {len(terms)} terms, budget is {TERM_BUDGET}"
+        )
+    return terms
+
+
 class ExpPoly:
     """A canonical finite sum of terms c * t^k * exp(-a t).
 
@@ -67,21 +90,17 @@ class ExpPoly:
                 raise ValueError(f"decay rate must be >= 0, got {a}")
             if k < 0:
                 raise ValueError(f"power must be >= 0, got {k}")
-            if c == 0:
-                continue
-            key = (a, k)
-            tot = acc.get(key, _ZERO_FRAC) + c
-            if tot == 0:
-                acc.pop(key, None)
-            else:
-                acc[key] = tot
-        if len(acc) > TERM_BUDGET:
-            raise TermBudgetError(
-                f"expression has {len(acc)} terms, budget is {TERM_BUDGET}"
-            )
-        self._terms = tuple(
-            (a, k, acc[(a, k)]) for a, k in sorted(acc.keys())
-        )
+            _accumulate(acc, (a, k), c)
+        self._terms = _canonical_terms(acc.items())
+
+    @classmethod
+    def _from_merged(
+        cls, merged: Iterable[tuple[tuple[Fraction, int], Fraction]]
+    ) -> "ExpPoly":
+        """Canonicalize ((rate, power), coeff) pairs with distinct keys, unvalidated."""
+        poly = object.__new__(cls)
+        poly._terms = _canonical_terms(merged)
+        return poly
 
     # -- constructors -------------------------------------------------
 
@@ -134,7 +153,10 @@ class ExpPoly:
     def __add__(self, other: "ExpPoly") -> "ExpPoly":
         if not isinstance(other, ExpPoly):
             return NotImplemented
-        return ExpPoly(self._terms + other._terms)
+        acc = {(a, k): c for a, k, c in self._terms}
+        for a, k, c in other._terms:
+            _accumulate(acc, (a, k), c)
+        return ExpPoly._from_merged(acc.items())
 
     def __sub__(self, other: "ExpPoly") -> "ExpPoly":
         if not isinstance(other, ExpPoly):
@@ -142,24 +164,41 @@ class ExpPoly:
         return self + (-other)
 
     def __neg__(self) -> "ExpPoly":
-        return ExpPoly((a, k, -c) for a, k, c in self._terms)
+        return ExpPoly._from_merged(((a, k), -c) for a, k, c in self._terms)
 
     def scale(self, c: Rational) -> "ExpPoly":
         c = _frac(c)
-        return ExpPoly((a, k, c * tc) for a, k, tc in self._terms)
+        return ExpPoly._from_merged(((a, k), c * tc) for a, k, tc in self._terms)
 
     def __mul__(self, other):
         if isinstance(other, ExpPoly):
-            if len(self._terms) * len(other._terms) > TERM_BUDGET:
+            f, g = self._terms, other._terms
+            if len(f) * len(g) > TERM_BUDGET:
                 raise TermBudgetError(
-                    f"product of {len(self._terms)} x {len(other._terms)} terms "
-                    f"exceeds budget {TERM_BUDGET}"
+                    f"product of {len(f)} x {len(g)} terms exceeds budget {TERM_BUDGET}"
                 )
-            prod = []
-            for a1, k1, c1 in self._terms:
-                for a2, k2, c2 in other._terms:
-                    prod.append((a1 + a2, k1 + k2, c1 * c2))
-            return ExpPoly(prod)
+            # Multiply on integers: every rate over one shared denominator,
+            # each operand's coefficients over their own lcm denominator.
+            # Like terms merge as integer sums, and each term becomes a
+            # Fraction once, at the end.
+            rate_den = math.lcm(*(a.denominator for a, _, _ in f + g))
+            f_den = math.lcm(*(c.denominator for _, _, c in f))
+            g_den = math.lcm(*(c.denominator for _, _, c in g))
+            g_int = [
+                (a.numerator * (rate_den // a.denominator), k, c.numerator * (g_den // c.denominator))
+                for a, k, c in g
+            ]
+            acc: dict[tuple[int, int], int] = {}
+            for a1, k1, c1 in f:
+                a1 = a1.numerator * (rate_den // a1.denominator)
+                c1 = c1.numerator * (f_den // c1.denominator)
+                for a2, k2, c2 in g_int:
+                    key = (a1 + a2, k1 + k2)
+                    acc[key] = acc.get(key, 0) + c1 * c2
+            den = f_den * g_den
+            return ExpPoly._from_merged(
+                ((Fraction(a, rate_den), k), Fraction(num, den)) for (a, k), num in acc.items()
+            )
         if isinstance(other, (int, Fraction, str)):
             return self.scale(other)
         return NotImplemented
@@ -180,10 +219,9 @@ class ExpPoly:
         while n:
             if n & 1:
                 result = result * base
-            base_needed = n > 1
-            if base_needed:
-                base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     # -- calculus -----------------------------------------------------
@@ -318,21 +356,19 @@ def solve_linear_ode(forcing: ExpPoly, lam: Rational, y0: Rational) -> ExpPoly:
     y0 = _frac(y0)
     if lam < 0:
         raise ValueError(f"decay coefficient must be >= 0, got {lam}")
-    out: list[tuple[Fraction, int, Fraction]] = []
-    if y0 != 0:
-        out.append((lam, 0, y0))
+    acc: dict[tuple[Fraction, int], Fraction] = {(lam, 0): y0}
     for a, k, c in forcing.terms:
         mu = lam - a
         if mu == 0:
-            out.append((a, k + 1, c / (k + 1)))
+            _accumulate(acc, (a, k + 1), c / (k + 1))
             continue
         # int_0^t s^k e^{mu s} ds * e^{-lam t}, expanded by parts:
         # b_j = (-1)^(k-j) * (k!/j!) / mu^(k-j+1)
         fact = 1
         for j in range(k, -1, -1):
             b_j = Fraction((-1) ** (k - j) * fact, 1) / mu ** (k - j + 1)
-            out.append((a, j, c * b_j))
+            _accumulate(acc, (a, j), c * b_j)
             if j == 0:
-                out.append((lam, 0, -c * b_j))
+                _accumulate(acc, (lam, 0), -c * b_j)
             fact *= j if j > 0 else 1
-    return ExpPoly(out)
+    return ExpPoly._from_merged(acc.items())

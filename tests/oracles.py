@@ -1,7 +1,8 @@
 """Independent reference derivations that the tests compare the package with.
 
-Exact side: the code-2 inflow rate, the rho2 display, the two-atom C_t(n, x)
-route to Qrho2 and the binomial double sum for QD2.  Simulator: an
+Exact side: the term-pair product of two ExpPoly forms, the code-2 inflow
+rate, the rho2 display, the two-atom C_t(n, x) route to Qrho2 and the
+binomial double sum for QD2.  Simulator: an
 event-by-event replay of given arrival times that asserts the two-layer
 transition conditions, the rule the package's layer-by-layer kernel must
 match.
@@ -22,6 +23,18 @@ from screendep.graphs import GraphInstance
 
 
 # -- exact side -----------------------------------------------------------------
+
+
+def pairwise_product(f: ExpPoly, g: ExpPoly) -> ExpPoly:
+    """f * g as one Fraction triple per pair of terms, merged by the constructor.
+
+    The product rule written out directly, with no common denominators:
+    the integer-numerator product in ExpPoly.__mul__ must give the same
+    canonical terms.
+    """
+    return ExpPoly(
+        (a1 + a2, k1 + k2, c1 * c2) for a1, k1, c1 in f.terms for a2, k2, c2 in g.terms
+    )
 
 
 def d2_rate(d: int) -> ExpPoly:

@@ -286,6 +286,16 @@ def test_simulate_usage_errors(capsys, argv):
     assert "error:" in err
 
 
+def test_simulate_rejects_repeated_layers(capsys):
+    code, out, err = run_cli(
+        capsys, "simulate", "--graph", "cycle", "--n", "20", "--T", "1", "--times", "1",
+        "--layers", "2,2",
+    )
+    assert code == 2
+    assert out == ""
+    assert "layers must not repeat" in err
+
+
 @pytest.mark.parametrize(
     "argv, named",
     [
@@ -334,6 +344,17 @@ def test_analytic_averaged(capsys):
     assert code == 0, err
     curve = DensityCurve.from_csv_text(out)
     assert curve.meta["graph"] == "averaged(2:1/2,3:1/2)"
+
+
+@pytest.mark.parametrize(
+    "atoms, named",
+    [("2:1/3,3:1/3", "sum to 2/3"), ("2:1/2,2:1/2", "degree 2 appears more than once")],
+)
+def test_analytic_takes_the_law_as_written(capsys, atoms, named):
+    code, out, err = run_cli(capsys, "analytic", "--atoms", atoms, "--grid", "1")
+    assert code == 2
+    assert out == ""
+    assert named in err
 
 
 @pytest.mark.parametrize(

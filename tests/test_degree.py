@@ -96,9 +96,30 @@ def test_parse_atoms():
     assert dist.is_point_mass()
 
 
-@pytest.mark.parametrize("text", ["", "2", "2:1/2:3", "x:1", "2:y", "2:1/0"])
+@pytest.mark.parametrize(
+    "text",
+    [
+        "", "2", "2:1/2:3", "x:1", "2:y", "2:1/0",
+        # the law is taken as written: no normalization, no merging
+        "2:1/3,3:1/3", "2:1,3:1", "2:1/2,2:1/2", "3:1/4,2:1/2,3:1/4", "2:0,3:1",
+        "2:-1/2,3:3/2",
+    ],
+)
 def test_parse_atoms_errors(text):
     with pytest.raises(ValueError):
+        parse_atoms(text)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("2:1/3,3:1/3", "sum to 2/3"),
+        ("3:1/4,2:1/2,3:1/4", "degree 3 appears more than once"),
+        ("2:0,3:1", "degree 2 has weight 0"),
+    ],
+)
+def test_parse_atoms_names_the_sum_or_the_degree(text, message):
+    with pytest.raises(ValueError, match=message):
         parse_atoms(text)
 
 

@@ -89,11 +89,28 @@ def test_depth_is_the_deepest_observed_layer():
         {"horizon": 2.0, "sample_times": (1.0,), "layers": (True,)},
         {"horizon": 2.0, "sample_times": (1.0,), "replicas": 2.5},
         {"horizon": 2.0, "sample_times": (1.0,), "replicas": "3"},
+        {"horizon": 2.0, "sample_times": (1.0,), "layers": (2, 2)},
+        {"horizon": 2.0, "sample_times": (1.0,), "layers": (1, 2, 1)},
+        {"horizon": 2.0, "sample_times": (1.0,), "patterns": ("11", "11")},
+        # repeated once normalized: a bit sequence and its word
+        {"horizon": 2.0, "sample_times": (1.0,), "patterns": ("0101", (0, 1, 0, 1))},
     ],
 )
 def test_config_validation(kwargs):
     with pytest.raises(ValueError):
         SimConfig(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "kwargs, named",
+    [
+        ({"layers": (2, 2)}, "layers must not repeat"),
+        ({"patterns": ("0101", (0, 1, 0, 1))}, "patterns must not repeat"),
+    ],
+)
+def test_config_names_the_repeated_observable(kwargs, named):
+    with pytest.raises(ValueError, match=named):
+        SimConfig(horizon=2.0, sample_times=(1.0,), **kwargs)
 
 
 # -- settlement rule and per-event rate conformance --------------------------------

@@ -18,6 +18,8 @@ from screendep.exppoly import (
     solve_linear_ode,
 )
 
+from oracles import pairwise_product
+
 F = Fraction
 
 
@@ -112,6 +114,56 @@ def test_derivative_is_linear_and_leibniz(f, g):
 def test_integrate0_inverts_derivative(f):
     assert f.integrate0().derivative() == f
     assert f.integrate0().at_zero() == 0
+
+
+# Wider than polys: rates p/q with q <= 6 (0 included), powers 0..5 and
+# coefficients with denominators up to 10^6.  An operand may list a term
+# together with its negation, which the constructor cancels, and a pair may
+# be (A + B, A - B), whose product cancels the cross terms A*B - B*A.
+wide_rates = st.sampled_from(
+    sorted({F(p, q) for q in range(1, 7) for p in range(0, 3 * q + 1)})
+)
+wide_coeffs = st.fractions(min_value=-50, max_value=50, max_denominator=10**6).filter(bool)
+wide_triples = st.lists(
+    st.tuples(wide_rates, st.integers(min_value=0, max_value=5), wide_coeffs), max_size=6
+)
+
+
+@st.composite
+def wide_polys(draw):
+    triples = draw(wide_triples)
+    negated = draw(st.lists(st.sampled_from(triples), max_size=3)) if triples else []
+    return ExpPoly(triples + [(a, k, -c) for a, k, c in negated])
+
+
+wide_pairs = st.one_of(
+    st.tuples(wide_polys(), wide_polys()),
+    st.tuples(wide_polys(), wide_polys()).map(lambda ab: (ab[0] + ab[1], ab[0] - ab[1])),
+    st.tuples(st.just(ExpPoly.zero()), wide_polys()),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(wide_pairs)
+def test_product_matches_the_pairwise_oracle(pair):
+    f, g = pair
+    for got in (f * g, g * f):
+        want = pairwise_product(f, g)
+        assert got == want
+        assert got.terms == want.terms
+        for a, k, c in got.terms:
+            assert type(a) is Fraction and type(k) is int and type(c) is Fraction
+            assert c != 0
+        keys = [(a, k) for a, k, _ in got.terms]
+        assert all(x < y for x, y in zip(keys, keys[1:]))
+
+
+def test_product_cancels_cross_terms_exactly():
+    a = ExpPoly.term(F(7, 10**6), power=2, rate=F(1, 6))
+    b = ExpPoly.term(F(-3, 999_983), power=5, rate=F(5, 3))
+    assert (a + b) * (a - b) == a * a - b * b
+    assert len((a + b) * (a - b)) == 2
+    assert (a + b) * ExpPoly.zero() == ExpPoly.zero()
 
 
 # -- calculus ----------------------------------------------------------------
@@ -233,3 +285,44 @@ def test_term_budget_guards_products(monkeypatch):
     f = ExpPoly((k, 0, 1) for k in range(6))
     with pytest.raises(TermBudgetError):
         f * f
+
+
+def _spread(n, power=0):
+    """n terms with distinct rates 0..n-1."""
+    return ExpPoly((k, power, 1) for k in range(n))
+
+
+# Operands are built here, under the default budget; each operation then
+# runs under a budget of 10 on arguments whose result has exactly 10 terms
+# and on arguments whose result has 11.
+_BUDGET_CASES = {
+    "add": (
+        lambda f, g: f + g,
+        (_spread(5), _spread(5, power=1)),
+        (_spread(5), _spread(6, power=1)),
+    ),
+    "mul": (
+        lambda f, g: f * g,
+        (_spread(5), ExpPoly.one() + ExpPoly.term(1, power=1)),
+        (_spread(11), ExpPoly.exp(F(1, 2))),
+    ),
+    "solve_linear_ode": (
+        lambda f, lam: solve_linear_ode(f, lam, 1),
+        (_spread(9), 20),
+        (_spread(10), 20),
+    ),
+    "constructor": (
+        ExpPoly,
+        ([(k, 0, 1) for k in range(11)] + [(10, 0, -1)],),
+        ([(k, 0, 1) for k in range(11)],),
+    ),
+}
+
+
+@pytest.mark.parametrize("op", sorted(_BUDGET_CASES))
+def test_term_budget_is_checked_by_every_operation(monkeypatch, op):
+    run, at_budget, over_budget = _BUDGET_CASES[op]
+    monkeypatch.setattr(exppoly, "TERM_BUDGET", 10)
+    assert len(run(*at_budget)) == 10
+    with pytest.raises(TermBudgetError):
+        run(*over_budget)
