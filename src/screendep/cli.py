@@ -257,7 +257,7 @@ def cmd_analytic(args: argparse.Namespace) -> int:
     else:
         av = averaged_densities(parse_atoms(spec["atoms"]))
         forms = [("layer:1", av.Qrho1), ("layer:2", av.Qrho2)]
-        label = f"averaged({spec['atoms']})"
+        label = f"averaged({av.dist.label()})"
     meta = {
         "graph": label,
         "version": __version__,

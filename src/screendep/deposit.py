@@ -39,6 +39,10 @@ over that prefix alone (m is its size; on a cycle, or when every vertex is
 measured, m = n).  A neighbor outside the prefix receives no arrival and
 never reaches a layer: its T_k is infinite.  A fixed ball is cut to the
 prefix before it is sent to the replicas, which changes nothing.
+
+numpy and the process pool are imported inside the functions that use
+them, so importing this module (and the CLI) loads neither until the
+first simulation runs.
 """
 
 from __future__ import annotations
@@ -46,16 +50,16 @@ from __future__ import annotations
 import math
 import numbers
 from bisect import bisect_right
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import zip_longest
-from typing import Sequence, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence, Union
 
 from ._version import __version__
 from .curves import DensityCurve, SeriesPoint
 from .graphs import GraphInstance, RandomBallSource
+
+if TYPE_CHECKING:
+    import numpy as np
 
 GraphLike = Union[GraphInstance, RandomBallSource]
 
@@ -198,6 +202,8 @@ def _cone_arrays(graph: GraphInstance, m: int, measured: tuple[int, ...]):
     once; a random ball, new in each replica, builds them over its light
     cone only.
     """
+    import numpy as np
+
     kept = graph.__dict__.get("_cone_arrays")
     if kept is not None and kept[0] == m and kept[1] == measured:
         return kept[2]
@@ -238,6 +244,8 @@ def _settle_layers(
     a particle at height k and takes its next arrival for T_{k+1}; any
     other vertex jumps past layer k and keeps T_k.
     """
+    import numpy as np
+
     depth, m = arrivals.shape
     flat = arrivals.ravel()
     passage = np.empty(m + 1)
@@ -273,6 +281,8 @@ def run_replica(
     not on the horizon.  A cycle must have at least 2 * depth + 1 vertices:
     on a smaller one the light cone wraps around onto itself.
     """
+    import numpy as np
+
     depth = config.depth
     if graph.kind == "cycle" and graph.vertex_count < 2 * depth + 1:
         raise ValueError(
@@ -291,6 +301,8 @@ def run_replica(
 
 def snapshot_observables(snap: ReplicaSnapshot, config: SimConfig) -> np.ndarray:
     """Per-replica observable means, shape (n_observables, n_times)."""
+    import numpy as np
+
     n_times = len(snap.sample_times)
     names_count = len(config.layers) + len(config.patterns)
     out = np.empty((names_count, n_times), dtype=np.float64)
@@ -308,6 +320,8 @@ def snapshot_observables(snap: ReplicaSnapshot, config: SimConfig) -> np.ndarray
 
 
 def _replica_seed(seed: int, replica: int, stream: int) -> np.random.SeedSequence:
+    import numpy as np
+
     return np.random.SeedSequence(seed, spawn_key=(replica, stream))
 
 
@@ -345,6 +359,8 @@ def estimate_densities(
     and independent of scheduling; the reduction order over replicas is
     fixed.
     """
+    import numpy as np
+
     if n_jobs < 1:
         raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
     names = observable_names(config)
@@ -357,6 +373,8 @@ def estimate_densities(
         for r, task in enumerate(tasks):
             stats[r] = _replica_task(task)
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=n_jobs) as pool:
             chunk = max(1, reps // (4 * n_jobs))
             for r, result in enumerate(pool.map(_replica_task, tasks, chunksize=chunk)):

@@ -12,11 +12,12 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Callable
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable
 
 from .degree import DegreeDistribution
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -156,6 +157,8 @@ def build_random_ball(
     degrees are drawn in that order, so the instance is a deterministic
     function of the seed.
     """
+    import numpy as np
+
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
     degs = [d for d, _ in dist.atoms]

@@ -346,6 +346,15 @@ def test_analytic_averaged(capsys):
     assert curve.meta["graph"] == "averaged(2:1/2,3:1/2)"
 
 
+@pytest.mark.parametrize("atoms", ["3:1/2,2:1/2", "2:0.5,3:0.5", "2:1/2,3:1/2"])
+def test_analytic_labels_one_law_one_way(capsys, atoms):
+    code, out, err = run_cli(capsys, "analytic", "--atoms", atoms, "--grid", "1")
+    assert code == 0, err
+    curve = DensityCurve.from_csv_text(out)
+    assert curve.meta["graph"] == "averaged(2:1/2,3:1/2)"
+    assert curve.meta["spec"]["atoms"] == atoms
+
+
 @pytest.mark.parametrize(
     "atoms, named",
     [("2:1/3,3:1/3", "sum to 2/3"), ("2:1/2,2:1/2", "degree 2 appears more than once")],
@@ -696,12 +705,23 @@ def test_missing_subcommand_is_a_usage_error():
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    # scipy is needed only by the quadrature oracle, which imports it on
-    # first use; a module-level import would load it for every command.
+    # numpy, the process pool and scipy are needed only by a simulation or
+    # the quadrature oracle, which import them on first use; a module-level
+    # import would load them for every command.  deposit and graphs are
+    # still imported with the package, so their functions can be wrapped
+    # in place from outside.
     src = Path(__file__).resolve().parent.parent / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
-    code = "import sys, screendep.cli; print('scipy' in sys.modules)"
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    assert out.stdout.strip() == "False"
+    heavy = {"numpy", "scipy", "concurrent.futures", "multiprocessing"}
+    for module in ("screendep.cli", "screendep"):
+        code = (
+            f"import json, sys, {module}, screendep\n"
+            "screendep.SimConfig(horizon=1.0, sample_times=(1.0,), patterns=('01',))\n"
+            "print(json.dumps(sorted(sys.modules)))"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        loaded = set(json.loads(out.stdout))
+        assert not loaded & heavy, (module, loaded & heavy)
+        assert {"screendep.deposit", "screendep.graphs"} <= loaded, module

@@ -504,6 +504,19 @@ def test_random_ball_source_estimates():
     assert a.series[0][1][0].n == 6
 
 
+@pytest.mark.parametrize(
+    "graph",
+    [build_regular_ball(3, 6, 2), RandomBallSource(TWO_THREE, radius=5, buffer=1)],
+    ids=["regular_ball_cut", "random_ball_source"],
+)
+def test_process_pool_gives_the_serial_estimate(graph):
+    cfg = SimConfig(horizon=2.0, sample_times=(1.0, 2.0), replicas=8, seed=3, layers=(1,))
+    if not isinstance(graph, RandomBallSource):
+        assert _cut_to_light_cone(graph, cfg).vertex_count < graph.vertex_count
+    serial = estimate_densities(graph, cfg, n_jobs=1).to_csv_text()
+    assert estimate_densities(graph, cfg, n_jobs=2).to_csv_text() == serial
+
+
 def test_snapshot_observables_shapes():
     g = build_cycle(80)
     cfg = SimConfig(horizon=2.0, sample_times=(1.0, 2.0), layers=(1, 2), patterns=("11",))
