@@ -40,6 +40,13 @@ measured, m = n).  A neighbor outside the prefix receives no arrival and
 never reaches a layer: its T_k is infinite.  A fixed ball is cut to the
 prefix before it is sent to the replicas, which changes nothing.
 
+The replicas run in contiguous blocks, one per worker: of R replicas on
+w workers, block i holds replicas R * i // w to R * (i + 1) // w - 1.
+The calling process runs the first block while a process pool runs the
+others, and the blocks are joined in replica order.  w is the smallest of
+the jobs asked for, the replica count and the CPUs this process may run
+on, so a run never starts more processes than it has replicas or CPUs.
+
 numpy and the process pool are imported inside the functions that use
 them, so importing this module (and the CLI) loads neither until the
 first simulation runs.
@@ -49,6 +56,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import os
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import zip_longest
@@ -178,10 +186,12 @@ def _light_cone(graph: GraphInstance, measured: tuple[int, ...], depth: int) -> 
 
     A vertex within distance `depth` of v lies at most `depth` levels below
     v, and breadth-first numbering puts every vertex down to that level first.
+    Depth never decreases with the id, so the deepest measured vertex is
+    the one with the largest id.
     """
     if graph.depth is None:
         return graph.vertex_count
-    reach = max((graph.depth[v] for v in measured), default=0) + depth
+    reach = (graph.depth[max(measured)] if measured else 0) + depth
     return bisect_right(graph.depth, reach)
 
 
@@ -332,12 +342,24 @@ def _resolve_graph(graph: GraphLike, seed: int, replica: int) -> GraphInstance:
 
 
 def _replica_task(args) -> np.ndarray:
-    graph, config, replica = args
-    instance = _resolve_graph(graph, config.seed, replica)
-    snap = run_replica(
-        instance, config, _replica_seed(config.seed, replica, _ARRIVAL_STREAM)
-    )
-    return snapshot_observables(snap, config)
+    """Replicas lo..hi-1 of a run: their observable means, shape
+    (hi - lo, n_observables, n_times)."""
+    import numpy as np
+
+    graph, config, lo, hi = args
+    stats = []
+    for r in range(lo, hi):
+        instance = _resolve_graph(graph, config.seed, r)
+        snap = run_replica(instance, config, _replica_seed(config.seed, r, _ARRIVAL_STREAM))
+        stats.append(snapshot_observables(snap, config))
+    return np.stack(stats)
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def estimate_densities(
@@ -353,11 +375,16 @@ def estimate_densities(
     and reports the mean over replicas with the standard error of the
     replica means.  A fixed ball is cut to the light cone of its measured
     vertices once, before the replicas run; a RandomBallSource is built
-    inside each replica, so only the recipe is sent.  Replica r derives
-    its streams from SeedSequence(seed, spawn_key=(r, 0)) for the graph
-    draw and spawn_key=(r, 1) for arrivals, so results are reproducible
-    and independent of scheduling; the reduction order over replicas is
-    fixed.
+    inside each replica, so only the recipe is sent.
+
+    The replicas run in contiguous blocks, one per worker, and the calling
+    process runs the first block while a process pool of the other workers
+    runs the rest.  The worker count is n_jobs capped at the replica count
+    and at the CPUs this process may run on; with one worker no pool
+    starts.  Replica r derives its streams from SeedSequence(seed,
+    spawn_key=(r, 0)) for the graph draw and spawn_key=(r, 1) for
+    arrivals, and the blocks are joined in replica order, so results are
+    reproducible and independent of the worker count.
     """
     import numpy as np
 
@@ -367,18 +394,24 @@ def estimate_densities(
     reps = config.replicas
     if isinstance(graph, GraphInstance):
         graph = _cut_to_light_cone(graph, config)
-    tasks = [(graph, config, r) for r in range(reps)]
-    stats = np.empty((reps, len(names), len(config.sample_times)), dtype=np.float64)
-    if n_jobs == 1 or reps == 1:
-        for r, task in enumerate(tasks):
-            stats[r] = _replica_task(task)
+        # Built before any block runs: the pool pickles the graph while the
+        # caller runs its block, and building the arrays then would change
+        # graph.__dict__ mid-pickle.  The workers receive them ready-made.
+        measured = _measured_vertices(graph, config)
+        _cone_arrays(graph, _light_cone(graph, measured, config.depth), measured)
+    workers = min(n_jobs, reps, _usable_cpus())
+    blocks = [
+        (graph, config, reps * w // workers, reps * (w + 1) // workers)
+        for w in range(workers)
+    ]
+    if workers == 1:
+        stats = _replica_task(blocks[0])
     else:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-            chunk = max(1, reps // (4 * n_jobs))
-            for r, result in enumerate(pool.map(_replica_task, tasks, chunksize=chunk)):
-                stats[r] = result
+        with ProcessPoolExecutor(max_workers=workers - 1) as pool:
+            rest = pool.map(_replica_task, blocks[1:])
+            stats = np.concatenate([_replica_task(blocks[0]), *rest])
     means = stats.mean(axis=0)
     if reps >= 2:
         stderr = stats.std(axis=0, ddof=1) / np.sqrt(reps)

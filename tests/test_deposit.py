@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import os
 import pickle
 
 import numpy as np
@@ -16,6 +17,7 @@ from screendep.deposit import (
     _cone_arrays,
     _cut_to_light_cone,
     _first_arrivals,
+    _light_cone,
     _settle_layers,
     estimate_densities,
     observable_names,
@@ -249,6 +251,24 @@ def test_light_cone_decides_the_lowest_layers():
     assert too_small > 0
 
 
+def test_light_cone_equals_the_brute_force():
+    # _light_cone reads the depth of the largest measured id alone; the
+    # brute force takes the deepest measured vertex, and the cone is every
+    # vertex down to depth levels below it.  Measured sets are arbitrary
+    # subsets of the ball, the empty one included; a cycle has no depths.
+    rng = np.random.default_rng(11)
+    for seed in range(40):
+        ball = build_random_ball(WIDE, radius=6, rng=seed)
+        n = ball.vertex_count
+        for _ in range(5):
+            size = int(rng.integers(0, min(n, 8) + 1))
+            measured = tuple(rng.choice(n, size=size, replace=False).tolist())
+            depth = int(rng.integers(1, 5))
+            reach = max((ball.depth[v] for v in measured), default=0) + depth
+            assert _light_cone(ball, measured, depth) == sum(d <= reach for d in ball.depth)
+    assert _light_cone(build_cycle(9), (0, 4), 3) == 9
+
+
 @pytest.mark.parametrize(
     "build, measure, seeds",
     [
@@ -324,15 +344,22 @@ def test_ball_cut_to_its_light_cone_gives_the_same_masks(measure, observed, cone
         full, short = run_replica(ball, cfg, rng=seed), run_replica(cut, cfg, rng=seed)
         assert short.measured == full.measured
         assert np.array_equal(short.masks, full.masks)
-    # the replicas receive the cut ball, and the estimate is that of the full one
+    # every block of replicas receives the cut ball, the blocks cover the
+    # replicas once and in order, and the estimate is that of the full ball
     sent = []
     task = deposit._replica_task
-    monkeypatch.setattr(deposit, "_replica_task", lambda args: sent.append(args[0]) or task(args))
+    monkeypatch.setattr(deposit, "_replica_task", lambda args: sent.append(args) or task(args))
+
+    def received(graph):
+        assert all(args[0] == graph for args in sent)
+        assert [r for _, _, lo, hi in sent for r in range(lo, hi)] == list(range(cfg.replicas))
+        sent.clear()
+
     text = estimate_densities(ball, cfg).to_csv_text()
-    assert sent == [cut] * cfg.replicas
+    received(cut)
     monkeypatch.setattr(deposit, "_cut_to_light_cone", lambda graph, config: graph)
     assert estimate_densities(ball, cfg).to_csv_text() == text
-    assert sent[cfg.replicas:] == [ball] * cfg.replicas
+    received(ball)
     if cut.vertex_count < ball.vertex_count:
         assert len(pickle.dumps(cut)) < len(pickle.dumps(ball))
 
@@ -505,16 +532,76 @@ def test_random_ball_source_estimates():
 
 
 @pytest.mark.parametrize(
-    "graph",
-    [build_regular_ball(3, 6, 2), RandomBallSource(TWO_THREE, radius=5, buffer=1)],
-    ids=["regular_ball_cut", "random_ball_source"],
+    "graph, observed, replicas, n_jobs",
+    [
+        (build_regular_ball(3, 6, 2), {}, 8, 2),
+        (RandomBallSource(TWO_THREE, radius=5, buffer=1), {}, 8, 2),
+        (RandomBallSource(TWO_THREE, radius=5, buffer=1),
+         {"measure": "root", "patterns": ("0101",)}, 7, 2),
+        (build_regular_ball(3, 7, 4), {"layers": (1, 2), "patterns": ("01",)}, 3, 5),
+    ],
+    ids=["regular_ball_cut", "random_ball_source", "uneven_split_random_root", "jobs_over_replicas"],
 )
-def test_process_pool_gives_the_serial_estimate(graph):
-    cfg = SimConfig(horizon=2.0, sample_times=(1.0, 2.0), replicas=8, seed=3, layers=(1,))
+def test_process_pool_gives_the_serial_estimate(graph, observed, replicas, n_jobs):
+    # the blocks split unevenly (4 + 3) or are capped at the replica count,
+    # and still join in replica order: the same CSV byte for byte
+    cfg = SimConfig(horizon=2.0, sample_times=(1.0, 2.0), replicas=replicas, seed=3,
+                    **{"layers": (1,), **observed})
     if not isinstance(graph, RandomBallSource):
         assert _cut_to_light_cone(graph, cfg).vertex_count < graph.vertex_count
     serial = estimate_densities(graph, cfg, n_jobs=1).to_csv_text()
-    assert estimate_densities(graph, cfg, n_jobs=2).to_csv_text() == serial
+    assert estimate_densities(graph, cfg, n_jobs=n_jobs).to_csv_text() == serial
+
+
+@pytest.mark.parametrize(
+    "replicas, n_jobs, cpus, pool",
+    [(2, 40, 64, 1), (10, 8, 3, 2), (10, 3, 64, 2), (5, 4, 1, None), (1, 4, 8, None)],
+    ids=["replicas", "cpus", "jobs", "one_cpu", "one_replica"],
+)
+def test_worker_count_is_capped(replicas, n_jobs, cpus, pool, monkeypatch):
+    # min(n_jobs, replicas, usable CPUs) workers, of which the caller is one:
+    # the pool starts the others, and none at all when one worker is left
+    import concurrent.futures
+
+    started = []
+
+    class InlineExecutor:
+        """Records its worker count and runs each task in this process
+        when its result is read, as the caller does after its own block."""
+
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
+    monkeypatch.setattr(deposit, "_usable_cpus", lambda: cpus)
+    cfg = SimConfig(horizon=1.0, sample_times=(1.0,), replicas=replicas, seed=4)
+    graph = build_cycle(30)
+    sent = []
+    task = deposit._replica_task
+    monkeypatch.setattr(deposit, "_replica_task", lambda args: sent.append(args[2:]) or task(args))
+    text = estimate_densities(graph, cfg, n_jobs=n_jobs).to_csv_text()
+    assert started == ([] if pool is None else [pool])
+    workers = min(n_jobs, replicas, cpus)
+    assert sent == [(replicas * w // workers, replicas * (w + 1) // workers) for w in range(workers)]
+    assert text == estimate_densities(graph, cfg).to_csv_text()
+
+
+def test_usable_cpus_reads_the_affinity_mask(monkeypatch):
+    assert deposit._usable_cpus() >= 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 3, 5}, raising=False)
+    assert deposit._usable_cpus() == 3
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert deposit._usable_cpus() == 1
 
 
 def test_snapshot_observables_shapes():
