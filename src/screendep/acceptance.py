@@ -163,7 +163,6 @@ class AcceptanceSuite:
 
     def cycle_config(self) -> SimConfig:
         return SimConfig(
-            horizon=10.0,
             sample_times=CYCLE_TIMES,
             replicas=CYCLE_REPLICAS,
             seed=self.seed,
@@ -233,7 +232,6 @@ class AcceptanceSuite:
 
     def criterion_5(self) -> tuple[bool, str]:
         config = SimConfig(
-            horizon=BALL_TIMES[-1],
             sample_times=BALL_TIMES,
             replicas=BALL_REPLICAS,
             seed=self.seed,
@@ -251,7 +249,6 @@ class AcceptanceSuite:
         dist = DegreeDistribution.from_pairs({2: "1/2", 3: "1/2"})
         source = RandomBallSource(dist, BALL_RADIUS, BALL_BUFFER)
         config = SimConfig(
-            horizon=RANDOM_TIMES[-1],
             sample_times=RANDOM_TIMES,
             replicas=RANDOM_REPLICAS,
             seed=self.seed,

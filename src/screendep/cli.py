@@ -28,7 +28,6 @@ SIMULATE_DEFAULTS = {
     "seed": 0,
     "layers": "1,2",
     "patterns": "",
-    "buffer": 0,
     "jobs": 1,
     "format": "csv",
     "out": "-",
@@ -49,8 +48,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--d", type=int, help="regular-tree degree")
     sim.add_argument("--atoms", help="degree law 'k:weight[,k:weight...]'")
     sim.add_argument("--R", type=int, dest="radius", help="ball radius")
-    sim.add_argument("--buffer", type=int, help="boundary buffer (interior = depth <= R - buffer)")
-    sim.add_argument("--T", type=float, dest="horizon", help="time horizon")
+    sim.add_argument("--buffer", type=int, help="interior: depth <= R - buffer (default L, root 0)")
+    sim.add_argument("--T", type=float, dest="horizon", help="sample time, or >= the last --times")
     sim.add_argument("--times", help="sample times: comma list or start:step:stop")
     sim.add_argument("--replicas", type=int)
     sim.add_argument("--seed", type=int)
@@ -195,6 +194,22 @@ def _emit(curve: DensityCurve, out: str, fmt: str) -> None:
     _write(curve.to_csv_text() if fmt == "csv" else curve.to_json_text(), out)
 
 
+def _ball_buffer(radius: int, buffer: int | None, config: SimConfig) -> int:
+    """The given buffer, or the least that keeps each measured light cone,
+    the ball within distance L = config.depth, inside the ball: L for the
+    interior, 0 for the root.  A ball too shallow for that is an error."""
+    depth = config.depth
+    if config.measure == "root":
+        if radius < depth:
+            raise ValueError(f"--R {radius} is below the observed depth L = {depth} at the root")
+        return buffer or 0
+    if buffer is None and radius <= depth:
+        raise ValueError(f"--R {radius} leaves no interior at the observed depth L = {depth}")
+    if buffer is not None and buffer < depth:
+        raise ValueError(f"--buffer {buffer} is below the observed depth L = {depth}")
+    return depth if buffer is None else buffer
+
+
 def cmd_simulate(args: argparse.Namespace) -> int:
     spec, given = _merge_config(args, SIMULATE_DEFAULTS)
     kind = spec.get("graph")
@@ -206,30 +221,26 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         "random": ("n", "d"),
     }
     _reject_unread("simulate", given, unread[kind], f"--graph {kind}")
-    if kind == "cycle":
-        if spec.get("n") is None:
-            raise ValueError("--graph cycle needs --n")
-        graph = build_cycle(spec["n"])
-    elif kind == "regular":
-        if spec.get("d") is None or spec.get("radius") is None:
-            raise ValueError("--graph regular needs --d and --R")
-        graph = build_regular_ball(spec["d"], spec["radius"], spec["buffer"])
-    else:
-        if spec.get("atoms") is None or spec.get("radius") is None:
-            raise ValueError("--graph random needs --atoms and --R")
-        dist = parse_atoms(spec["atoms"])
-        graph = RandomBallSource(dist, spec["radius"], spec["buffer"])
+    if kind == "cycle" and spec.get("n") is None:
+        raise ValueError("--graph cycle needs --n")
+    if kind == "regular" and (spec.get("d") is None or spec.get("radius") is None):
+        raise ValueError("--graph regular needs --d and --R")
+    if kind == "random" and (spec.get("atoms") is None or spec.get("radius") is None):
+        raise ValueError("--graph random needs --atoms and --R")
 
-    times_text = spec.get("times")
-    horizon = float(spec["horizon"]) if spec.get("horizon") is not None else None
+    times_text, horizon = spec.get("times"), spec.get("horizon")
     if times_text is None and horizon is None:
         raise ValueError("simulate needs --times and/or --T")
-    times = parse_grid(times_text) if times_text is not None else (horizon,)
-    if horizon is None:
-        horizon = times[-1]
+    if times_text is None:
+        times = (float(horizon),)
+    else:
+        times = parse_grid(times_text)
+        if horizon is not None and not (0 < horizon < float("inf") and horizon >= times[-1]):
+            raise ValueError(
+                f"--T {horizon} must be positive, finite and >= the last time {times[-1]}"
+            )
     measure = spec.get("measure") or ("root" if kind == "random" else "interior")
     config = SimConfig(
-        horizon=horizon,
         sample_times=times,
         replicas=spec["replicas"],
         seed=spec["seed"],
@@ -237,6 +248,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         patterns=_parse_patterns(spec["patterns"]),
         measure=measure,
     )
+    if kind == "cycle":
+        graph = build_cycle(spec["n"])
+    else:
+        spec["buffer"] = _ball_buffer(spec["radius"], spec.get("buffer"), config)
+        if kind == "regular":
+            graph = build_regular_ball(spec["d"], spec["radius"], spec["buffer"])
+        else:
+            graph = RandomBallSource(parse_atoms(spec["atoms"]), spec["radius"], spec["buffer"])
     curve = estimate_densities(graph, config, n_jobs=spec["jobs"])
     meta = dict(curve.meta)
     meta["spec"] = {k: v for k, v in sorted(spec.items()) if k not in ("out", "jobs")}

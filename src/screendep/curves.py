@@ -152,7 +152,10 @@ def curve_from_exact(
 def parse_grid(text: str) -> tuple[float, ...]:
     """Parse a time grid: either 'start:step:stop' or a comma list '0.5,1,2'."""
     text = text.strip()
-    values = tuple(float(p) for p in text.split(":" if ":" in text else ","))
+    try:
+        values = tuple(float(p) for p in text.split(":" if ":" in text else ","))
+    except ValueError:
+        raise ValueError(f"grid {text!r} has an entry that is not a number") from None
     if not all(math.isfinite(v) for v in values):
         raise ValueError(f"grid {text!r} has a non-finite entry")
     if ":" in text:

@@ -96,7 +96,7 @@ def make_regular(d: int) -> DegreeDistribution:
     return DegreeDistribution.from_pairs({d: 1}, name=f"regular({d})")
 
 
-def parse_atoms(text: str, name: str | None = None) -> DegreeDistribution:
+def parse_atoms(text: str) -> DegreeDistribution:
     """Parse 'k:weight[,k:weight...]' with exact rational weights, e.g. '2:1/2,3:1/2'.
 
     The law is taken as written, not normalized: each degree appears once,
@@ -122,4 +122,4 @@ def parse_atoms(text: str, name: str | None = None) -> DegreeDistribution:
     total = sum(weights.values())
     if total != 1:
         raise ValueError(f"weights in {text!r} sum to {total}, not to 1")
-    return DegreeDistribution.from_pairs(weights, name=name)
+    return DegreeDistribution.from_pairs(weights)

@@ -27,8 +27,8 @@ Once v's top is k, v's next arrival lifts it to k + 1 or above.
 Each layer takes at most one new arrival per vertex, so each vertex's first
 depth arrival times decide every mask: a (depth, m) matrix of cumulative
 sums of Exp(1) gaps, settled in depth passes over a padded neighbor table.
-The work does not grow with the horizon, which only bounds the sample
-times.
+The work does not grow with the sample times, so a run has no horizon to
+set: it ends at its last sample time.
 
 T_k(v) reads the arrivals within distance k - 1 of v, and the mask bit of
 layer k those within distance k: the lowest L layers at a vertex are
@@ -38,7 +38,11 @@ vertices lie in a prefix of the vertex ids, and the arrivals are drawn
 over that prefix alone (m is its size; on a cycle, or when every vertex is
 measured, m = n).  A neighbor outside the prefix receives no arrival and
 never reaches a layer: its T_k is infinite.  A fixed ball is cut to the
-prefix before it is sent to the replicas, which changes nothing.
+prefix before it is sent to the replicas, which changes nothing.  The
+masks are those of the finite ball; they are infinite-tree marginals when
+every measured light cone lies inside it, that is when the buffer is at
+least depth for interior vertices, or the radius at least depth for the
+root.  The CLI derives such a buffer; this module takes the ball as given.
 
 The replicas run in contiguous blocks, one per worker: of R replicas on
 w workers, block i holds replicas R * i // w to R * (i + 1) // w - 1.
@@ -95,16 +99,15 @@ def _is_integer(x) -> bool:
 class SimConfig:
     """Run parameters for a deposition estimate.
 
-    sample_times must be strictly increasing and lie in (0, horizon]; the
-    horizon bounds them and nothing else, since a replica's work does not
-    depend on it.
+    sample_times must be positive, finite and strictly increasing; a run
+    ends at the last of them, its horizon, since a replica's work does not
+    depend on how long it runs.
     layers lists the single-layer densities to report; patterns are
     top-down binary words over the lowest len(pattern) layers.  measure
     selects which vertices are averaged: the interior set or the root
     alone (tree-averaged observables on random balls use the root).
     """
 
-    horizon: float
     sample_times: tuple[float, ...]
     replicas: int = 100
     seed: int = 0
@@ -120,18 +123,12 @@ class SimConfig:
         object.__setattr__(
             self, "patterns", tuple(_normalize_pattern(p) for p in self.patterns)
         )
-        if not (math.isfinite(self.horizon) and self.horizon > 0):
-            raise ValueError(f"horizon must be positive and finite, got {self.horizon}")
         if not self.sample_times:
             raise ValueError("at least one sample time is required")
         if not all(math.isfinite(t) and t > 0 for t in self.sample_times):
             raise ValueError(f"sample times must be positive and finite: {self.sample_times}")
         if any(b >= a for a, b in zip(self.sample_times[1:], self.sample_times)):
             raise ValueError(f"sample times must be strictly increasing: {self.sample_times}")
-        if self.sample_times[-1] > self.horizon:
-            raise ValueError(
-                f"last sample time {self.sample_times[-1]} exceeds horizon {self.horizon}"
-            )
         if not (_is_integer(self.replicas) and self.replicas >= 1):
             raise ValueError(f"replicas must be an integer >= 1, got {self.replicas!r}")
         if not (_is_integer(self.seed) and self.seed >= 0):
@@ -153,6 +150,11 @@ class SimConfig:
     def depth(self) -> int:
         """The number of tracked layers: the deepest one an observable reads."""
         return max((*self.layers, *(len(p) for p in self.patterns)))
+
+    @property
+    def horizon(self) -> float:
+        """The last sample time, where a run ends."""
+        return self.sample_times[-1]
 
 
 @dataclass(frozen=True)
@@ -288,8 +290,8 @@ def run_replica(
     ids, draws its first depth arrival times, and _settle_layers settles
     them one layer at a time (see the module docstring).  The draw depends
     on the cone alone, so a ball cut to its cone gives the same masks, and
-    not on the horizon.  A cycle must have at least 2 * depth + 1 vertices:
-    on a smaller one the light cone wraps around onto itself.
+    not on the sample times.  A cycle must have at least 2 * depth + 1
+    vertices: on a smaller one the light cone wraps around onto itself.
     """
     import numpy as np
 

@@ -178,6 +178,34 @@ def test_averaged_rho2_limit_two_three():
     assert av.Qrho2.at_zero() == 0
 
 
+def _integer_mean_laws():
+    """The two-atom laws on 2 <= a < b <= 8 with weight k/(b - a) on a, whose
+    mean b - k is an integer, and two laws with three atoms."""
+    for b in range(3, 9):
+        for a in range(2, b):
+            for k in range(1, b - a):
+                yield DegreeDistribution.from_pairs({a: F(k, b - a), b: 1 - F(k, b - a)})
+    yield DegreeDistribution.from_pairs({2: "1/3", 3: "1/3", 4: "1/3"})
+    yield DegreeDistribution.from_pairs({2: "1/2", 3: "1/4", 5: "1/4"})
+
+
+def test_second_layer_random_minus_regular_starts_at_minus_variance():
+    """An observed identity, not yet derived: for a law D with integer mean
+    d, g = Qrho2 - rho2 on T_d has g(0) = g'(0) = g''(0) = 0 and
+    g'''(0) = -Var(D), so the regular tree leads at small t."""
+    laws = list(_integer_mean_laws())
+    assert len(laws) == 37
+    for dist in laws:
+        mean = dist.mean()
+        assert mean.denominator == 1
+        variance = sum(w * (d - mean) ** 2 for d, w in dist.atoms)
+        g = averaged_densities(dist).Qrho2 - regular_densities(int(mean)).rho2
+        derivatives = [g]
+        for _ in range(3):
+            derivatives.append(derivatives[-1].derivative())
+        assert [h.at_zero() for h in derivatives] == [0, 0, 0, -variance], dist.label()
+
+
 @pytest.mark.parametrize(
     "dist",
     [

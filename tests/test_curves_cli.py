@@ -142,6 +142,10 @@ def test_parse_grid():
     for bad in ("nan", "0.5,inf", "0:nan:1", "0:0.5:inf"):
         with pytest.raises(ValueError):
             parse_grid(bad)
+    # a grid that is not numbers names itself, not the empty entry
+    for bad in ("1,,2", "1:x:2"):
+        with pytest.raises(ValueError, match=re.escape(repr(bad))):
+            parse_grid(bad)
 
 
 # -- command line -----------------------------------------------------------------
@@ -165,7 +169,7 @@ def test_simulate_cycle_stdout(capsys):
     assert curve.times == (1.0, 2.0)
     assert curve.meta["graph"] == "cycle(n=40)"
     assert curve.meta["spec"]["replicas"] == 5
-    assert curve.meta["spec"]["buffer"] == 0
+    assert "buffer" not in curve.meta["spec"]
     assert "out" not in curve.meta["spec"]
     assert all(p.n == 5 for p in curve.get("layer:1"))
 
@@ -192,7 +196,7 @@ def test_cycle_stream_is_pinned(capsys):
     )
     assert code == 0, err
     digest = hashlib.sha256(out.encode()).hexdigest()
-    assert digest == "b06ac28013e004b8ccd124fca2534ce6334d1b093af7b2d31e13a915c4b19b75"
+    assert digest == "3f59ce749aae9ecbef97db8aba3c622ed03c1eff608f4b2477b0d09609b19d0d"
 
 
 @pytest.mark.parametrize(
@@ -242,12 +246,12 @@ def test_simulate_regular_ball_json(tmp_path, capsys):
     out_path = tmp_path / "ball.json"
     code, _, err = run_cli(
         capsys,
-        "simulate", "--graph", "regular", "--d", "3", "--R", "4", "--buffer", "1",
+        "simulate", "--graph", "regular", "--d", "3", "--R", "4", "--buffer", "2",
         "--times", "1", "--replicas", "3", "--format", "json", "--out", str(out_path),
     )
     assert code == 0, err
     data = json.loads(out_path.read_text())
-    assert data["meta"]["graph"] == "regular_ball(d=3,R=4,B=1)"
+    assert data["meta"]["graph"] == "regular_ball(d=3,R=4,B=2)"
     assert data["meta"]["measure"] == "interior"
     assert [s["observable"] for s in data["series"]] == ["layer:1", "layer:2"]
 
@@ -278,12 +282,67 @@ def test_simulate_random_defaults_to_root(capsys):
         ("simulate", "--graph", "cycle", "--n", "5", "--times", "1", "--layers", "3"),
         ("simulate", "--graph", "cycle", "--n", "8", "--times", "1", "--patterns", "0101"),
         ("simulate", "--graph", "cycle", "--n", "40", "--times", "1", "--jobs", "0"),
+        ("simulate", "--graph", "regular", "--d", "3", "--R", "8", "--buffer", "1", "--times", "1"),
+        ("simulate", "--graph", "regular", "--d", "3", "--R", "1", "--measure", "root",
+         "--times", "1"),
+        ("simulate", "--graph", "random", "--atoms", "2:1/2,3:1/2", "--R", "1",
+         "--measure", "root", "--times", "1"),
+        ("simulate", "--graph", "regular", "--d", "3", "--R", "2", "--times", "1"),
+        ("simulate", "--graph", "cycle", "--n", "40", "--T", "1", "--times", "1,2"),
+        ("simulate", "--graph", "cycle", "--n", "40", "--T", "inf", "--times", "1"),
+        ("simulate", "--graph", "cycle", "--n", "40", "--T", "nan", "--times", "1"),
     ],
 )
 def test_simulate_usage_errors(capsys, argv):
-    code, _, err = run_cli(capsys, *argv)
+    code, out, err = run_cli(capsys, *argv)
     assert code == 2
-    assert "error:" in err
+    assert out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (("--d", "3", "--R", "8", "--buffer", "1"), "--buffer 1 is below the observed depth L = 2"),
+        (("--d", "3", "--R", "8", "--buffer", "2", "--layers", "1,2,3"),
+         "--buffer 2 is below the observed depth L = 3"),
+        (("--d", "3", "--R", "1", "--measure", "root"), "--R 1 is below the observed depth L = 2"),
+        (("--d", "3", "--R", "3", "--patterns", "0101", "--measure", "root"),
+         "--R 3 is below the observed depth L = 4"),
+        (("--d", "3", "--R", "2"), "--R 2 leaves no interior at the observed depth L = 2"),
+    ],
+)
+def test_simulate_rejects_a_ball_too_shallow_for_its_observables(capsys, argv, named):
+    # the message names the depth and the values given, never a derived
+    # buffer the user did not type
+    code, out, err = run_cli(capsys, "simulate", "--graph", "regular", *argv, "--times", "1")
+    assert code == 2
+    assert out == ""
+    assert named in err
+
+
+@pytest.mark.parametrize(
+    "argv, label, buffer",
+    [
+        (("--graph", "regular", "--d", "3", "--R", "3"), "regular_ball(d=3,R=3,B=2)", 2),
+        (("--graph", "regular", "--d", "3", "--R", "6", "--layers", "1,2,3"),
+         "regular_ball(d=3,R=6,B=3)", 3),
+        (("--graph", "regular", "--d", "3", "--R", "6", "--buffer", "4"),
+         "regular_ball(d=3,R=6,B=4)", 4),
+        (("--graph", "regular", "--d", "3", "--R", "2", "--measure", "root"),
+         "regular_ball(d=3,R=2,B=0)", 0),
+        (("--graph", "random", "--atoms", "2:1", "--R", "4", "--patterns", "0101"),
+         "random_ball(2:1,R=4,B=0)", 0),
+    ],
+)
+def test_simulate_derives_the_smallest_buffer(capsys, argv, label, buffer):
+    # with no --buffer an interior run takes the depth L, a root run 0; the
+    # buffer used is echoed in the spec
+    code, out, err = run_cli(capsys, "simulate", *argv, "--times", "1", "--replicas", "2")
+    assert code == 0, err
+    curve = DensityCurve.from_csv_text(out)
+    assert curve.meta["graph"] == label
+    assert curve.meta["spec"]["buffer"] == buffer
 
 
 def test_simulate_rejects_repeated_layers(capsys):
@@ -658,6 +717,22 @@ def test_readme_commands_parse():
             pytest.fail(f"README command does not parse: {line}")
 
 
+def test_readme_examples_run(tmp_path, capsys):
+    # every documented simulate, analytic and motives example exits 0;
+    # simulations run at two replicas, and every output goes to a file
+    runs = [
+        shlex.split(line)[1:] for line in _readme_commands()
+        if line.split()[1] in ("simulate", "analytic", "motives")
+    ]
+    assert len(runs) >= 7
+    for i, argv in enumerate(runs):
+        if argv[0] == "simulate":
+            argv += ["--replicas", "2"]
+        argv += ["--out", str(tmp_path / f"example{i}")]
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 0, (argv, err)
+
+
 def test_readme_certificates_verify(capsys):
     # a certificate the README documents must keep verifying
     lines = [line for line in _readme_commands() if line.startswith("screendep compare ")]
@@ -716,7 +791,7 @@ def test_cli_import_leaves_scipy_unloaded():
     for module in ("screendep.cli", "screendep"):
         code = (
             f"import json, sys, {module}, screendep\n"
-            "screendep.SimConfig(horizon=1.0, sample_times=(1.0,), patterns=('01',))\n"
+            "screendep.SimConfig(sample_times=(1.0,), patterns=('01',))\n"
             "print(json.dumps(sorted(sys.modules)))"
         )
         out = subprocess.run(

@@ -44,58 +44,66 @@ def _continued(arrivals, horizon, rng):
 
 
 def test_config_normalizes_patterns():
-    cfg = SimConfig(horizon=2.0, sample_times=(1, 2), patterns=["0101", (1, 1)])
+    cfg = SimConfig(sample_times=(1, 2), patterns=["0101", (1, 1)])
     assert cfg.patterns == ("0101", "11")
     assert cfg.sample_times == (1.0, 2.0)
     # numpy integers count as integers, and layers become Python ints
-    cfg = SimConfig(horizon=1.0, sample_times=(1.0,), layers=(np.int64(2),), replicas=np.int64(3))
+    cfg = SimConfig(sample_times=(1.0,), layers=(np.int64(2),), replicas=np.int64(3))
     assert cfg.layers == (2,) and type(cfg.layers[0]) is int
 
 
 def test_observable_names_order():
-    cfg = SimConfig(horizon=1.0, sample_times=(1.0,), layers=(1, 2), patterns=("11",))
+    cfg = SimConfig(sample_times=(1.0,), layers=(1, 2), patterns=("11",))
     assert observable_names(cfg) == ("layer:1", "layer:2", "pattern:11")
 
 
 def test_depth_is_the_deepest_observed_layer():
-    assert SimConfig(horizon=1.0, sample_times=(1.0,)).depth == 2
-    assert SimConfig(horizon=1.0, sample_times=(1.0,), layers=(3, 1)).depth == 3
-    cfg = SimConfig(horizon=1.0, sample_times=(1.0,), layers=(1,), patterns=("0101",))
+    assert SimConfig(sample_times=(1.0,)).depth == 2
+    assert SimConfig(sample_times=(1.0,), layers=(3, 1)).depth == 3
+    cfg = SimConfig(sample_times=(1.0,), layers=(1,), patterns=("0101",))
     assert cfg.depth == 4
+
+
+def test_horizon_is_the_last_sample_time():
+    # a replica's work does not depend on how long it runs, so the horizon
+    # is derived, not set
+    assert SimConfig(sample_times=(1.0, 5.0)).horizon == 5.0
+    with pytest.raises(TypeError):
+        SimConfig(horizon=2.0, sample_times=(1.0,))
 
 
 @pytest.mark.parametrize(
     "kwargs",
     [
-        {"horizon": 0.0, "sample_times": (1.0,)},
-        {"horizon": 2.0, "sample_times": ()},
-        {"horizon": 2.0, "sample_times": (0.0, 1.0)},
-        {"horizon": 2.0, "sample_times": (1.0, 1.0)},
-        {"horizon": 2.0, "sample_times": (2.0, 1.0)},
-        {"horizon": 2.0, "sample_times": (1.0, 3.0)},
-        {"horizon": 2.0, "sample_times": (1.0,), "replicas": 0},
-        {"horizon": 2.0, "sample_times": (1.0,), "seed": -1},
-        {"horizon": 2.0, "sample_times": (1.0,), "layers": (MAX_TRACKED_LAYERS + 1,)},
-        {"horizon": 2.0, "sample_times": (1.0,), "layers": (), "patterns": ()},
-        {"horizon": 2.0, "sample_times": (1.0,), "layers": (0, 1)},
-        {"horizon": 2.0, "sample_times": (1.0,), "patterns": ("0" * (MAX_TRACKED_LAYERS + 1),)},
-        {"horizon": 2.0, "sample_times": (1.0,), "patterns": ("01x1",)},
-        {"horizon": 2.0, "sample_times": (1.0,), "measure": "leaves"},
-        {"horizon": math.nan, "sample_times": (1.0,)},
-        {"horizon": math.inf, "sample_times": (1.0,)},
-        {"horizon": 2.0, "sample_times": (1.0, math.nan)},
-        {"horizon": 2.0, "sample_times": (math.nan,)},
-        {"horizon": 2.0, "sample_times": (1.0,), "seed": 1.5},
-        {"horizon": 2.0, "sample_times": (1.0,), "seed": True},
-        {"horizon": 2.0, "sample_times": (1.0,), "layers": (1.7, 2)},
-        {"horizon": 2.0, "sample_times": (1.0,), "layers": (True,)},
-        {"horizon": 2.0, "sample_times": (1.0,), "replicas": 2.5},
-        {"horizon": 2.0, "sample_times": (1.0,), "replicas": "3"},
-        {"horizon": 2.0, "sample_times": (1.0,), "layers": (2, 2)},
-        {"horizon": 2.0, "sample_times": (1.0,), "layers": (1, 2, 1)},
-        {"horizon": 2.0, "sample_times": (1.0,), "patterns": ("11", "11")},
+        {"sample_times": (-1.0,)},
+        {"sample_times": ()},
+        {"sample_times": (0.0, 1.0)},
+        {"sample_times": (1.0, 1.0)},
+        {"sample_times": (2.0, 1.0)},
+        {"sample_times": (1.0, math.inf)},
+        {"sample_times": (1.0,), "replicas": 0},
+        {"sample_times": (1.0,), "seed": -1},
+        {"sample_times": (1.0,), "layers": (MAX_TRACKED_LAYERS + 1,)},
+        {"sample_times": (1.0,), "layers": (), "patterns": ()},
+        {"sample_times": (1.0,), "layers": (0, 1)},
+        {"sample_times": (1.0,), "patterns": ("0" * (MAX_TRACKED_LAYERS + 1),)},
+        {"sample_times": (1.0,), "patterns": ("01x1",)},
+        {"sample_times": (1.0,), "measure": "leaves"},
+        {"sample_times": (math.nan, 1.0)},
+        {"sample_times": (math.inf,)},
+        {"sample_times": (1.0, math.nan)},
+        {"sample_times": (math.nan,)},
+        {"sample_times": (1.0,), "seed": 1.5},
+        {"sample_times": (1.0,), "seed": True},
+        {"sample_times": (1.0,), "layers": (1.7, 2)},
+        {"sample_times": (1.0,), "layers": (True,)},
+        {"sample_times": (1.0,), "replicas": 2.5},
+        {"sample_times": (1.0,), "replicas": "3"},
+        {"sample_times": (1.0,), "layers": (2, 2)},
+        {"sample_times": (1.0,), "layers": (1, 2, 1)},
+        {"sample_times": (1.0,), "patterns": ("11", "11")},
         # repeated once normalized: a bit sequence and its word
-        {"horizon": 2.0, "sample_times": (1.0,), "patterns": ("0101", (0, 1, 0, 1))},
+        {"sample_times": (1.0,), "patterns": ("0101", (0, 1, 0, 1))},
     ],
 )
 def test_config_validation(kwargs):
@@ -112,7 +120,7 @@ def test_config_validation(kwargs):
 )
 def test_config_names_the_repeated_observable(kwargs, named):
     with pytest.raises(ValueError, match=named):
-        SimConfig(horizon=2.0, sample_times=(1.0,), **kwargs)
+        SimConfig(sample_times=(1.0,), **kwargs)
 
 
 # -- settlement rule and per-event rate conformance --------------------------------
@@ -150,7 +158,7 @@ def test_settlements_conform_to_transition_rates(graph, horizon, observed):
     # whole graph.  The long runs check that the arrivals past a vertex's
     # depth-th, which the kernel never draws, change nothing.
     times = tuple(horizon * f for f in (0.25, 0.625, 1.0))
-    cfg = SimConfig(horizon=horizon, sample_times=times, **observed)
+    cfg = SimConfig(sample_times=times, **observed)
     depth = cfg.depth
     n = graph.vertex_count
     interior = list(graph.interior)
@@ -193,7 +201,7 @@ def test_first_passage_kernel_equals_the_event_replay(build, depth):
     # one event at a time, the kernel reads only the first depth, one layer
     # per pass.  Every vertex's masks must be equal at every sample time,
     # the last of them long after the lowest layers have jammed.
-    cfg = SimConfig(horizon=30.0, sample_times=(0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 30.0),
+    cfg = SimConfig(sample_times=(0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 30.0),
                     layers=(depth,))
     for seed in range(25):
         graph = build(seed)
@@ -211,7 +219,7 @@ def test_kernel_without_the_jump_rule_fails_the_replay():
     # the arrival jumped past it, gives masks the replay does not
     graph = build_cycle(200)
     depth = 3
-    cfg = SimConfig(horizon=30.0, sample_times=(0.5, 1.0, 2.0, 30.0), layers=(depth,))
+    cfg = SimConfig(sample_times=(0.5, 1.0, 2.0, 30.0), layers=(depth,))
     times = np.asarray(cfg.sample_times)[:, None]
     differs = 0
     for seed in range(20):
@@ -237,7 +245,7 @@ def test_light_cone_decides_the_lowest_layers():
     # first vertices of the radius-6 ball, so dropping every arrival outside
     # it must leave the root's lowest L layers exactly as they were.
     big = build_regular_ball(3, 6)
-    cfg = SimConfig(horizon=3.0, sample_times=(0.5, 1.0, 2.0, 3.0), layers=(4,))
+    cfg = SimConfig(sample_times=(0.5, 1.0, 2.0, 3.0), layers=(4,))
     too_small = 0
     for seed in range(100):
         rng = np.random.default_rng(seed)
@@ -291,7 +299,7 @@ def test_light_cone_filter_is_exact(build, measure, seeds, observed):
     # every sample time.  The balls reach two levels past every cone, so
     # each cone is a strict prefix.  Negative control: the cone one level
     # shallower misses arrivals that matter.
-    cfg = SimConfig(horizon=4.0, sample_times=(0.5, 1.0, 2.0, 4.0), measure=measure, **observed)
+    cfg = SimConfig(sample_times=(0.5, 1.0, 2.0, 4.0), measure=measure, **observed)
     depth = cfg.depth
     extra = np.random.default_rng(99)
     too_small = inserted = 0
@@ -336,7 +344,7 @@ def test_ball_cut_to_its_light_cone_gives_the_same_masks(measure, observed, cone
     # seed for seed.  The cone of T_3 to level r has 1 + 3(2^r - 1)
     # vertices: interior vertices reach level 3 + depth, the root level depth.
     ball = build_regular_ball(3, radius=7, buffer=4)
-    cfg = SimConfig(horizon=4.0, sample_times=(0.5, 1.0, 2.0, 4.0), replicas=8, seed=5,
+    cfg = SimConfig(sample_times=(0.5, 1.0, 2.0, 4.0), replicas=8, seed=5,
                     measure=measure, **observed)
     cut = _cut_to_light_cone(ball, cfg)
     assert cut.vertex_count == cones[measure]
@@ -389,7 +397,7 @@ def test_first_arrivals_are_a_poisson_process():
 
 def test_snapshots_are_cumulative():
     g = build_cycle(200)
-    cfg = SimConfig(horizon=3.0, sample_times=(0.5, 1.0, 2.0, 3.0))
+    cfg = SimConfig(sample_times=(0.5, 1.0, 2.0, 3.0))
     snap = run_replica(g, cfg, rng=11)
     for i in range(3):
         # occupied layers only grow
@@ -401,7 +409,7 @@ def test_layer_one_sites_form_an_independent_set():
     # empty, so no two adjacent sites can both carry a layer-1 particle
     n = 300
     g = build_cycle(n)
-    cfg = SimConfig(horizon=5.0, sample_times=(1.0, 5.0))
+    cfg = SimConfig(sample_times=(1.0, 5.0))
     for r in range(5):
         snap = run_replica(g, cfg, rng=50 + r)
         for row in snap.masks:
@@ -413,11 +421,11 @@ def test_masks_stay_below_depth():
     # layers 1 and 2 give depth 2: settling the same arrivals untruncated
     # reaches higher layers, and truncation drops exactly those bits
     g = build_cycle(30)
-    cfg = SimConfig(horizon=12.0, sample_times=(12.0,), layers=(1, 2))
+    cfg = SimConfig(sample_times=(12.0,), layers=(1, 2))
     snap = run_replica(g, cfg, rng=2)
     first = _first_arrivals(30, cfg.depth, np.random.default_rng(2))
     arrivals = _continued(first, cfg.horizon, np.random.default_rng(3))
-    untruncated = SimConfig(horizon=12.0, sample_times=(12.0,), layers=(MAX_TRACKED_LAYERS,))
+    untruncated = SimConfig(sample_times=(12.0,), layers=(MAX_TRACKED_LAYERS,))
     deep = replay(g, untruncated, arrivals)
     assert np.all(snap.masks < 1 << cfg.depth)
     assert np.count_nonzero(deep >= 1 << cfg.depth) > 10
@@ -426,7 +434,7 @@ def test_masks_stay_below_depth():
 
 def test_small_cycle_is_rejected():
     # a cycle shorter than the depth-L light cone, 2L + 1 vertices, wraps around
-    cfg = SimConfig(horizon=1.0, sample_times=(1.0,), layers=(3,))
+    cfg = SimConfig(sample_times=(1.0,), layers=(3,))
     with pytest.raises(ValueError, match="n >= 7"):
         run_replica(build_cycle(6), cfg, rng=0)
     assert run_replica(build_cycle(7), cfg, rng=0).masks.shape == (1, 7)
@@ -434,7 +442,7 @@ def test_small_cycle_is_rejected():
 
 def test_measured_override():
     g = build_cycle(50)
-    cfg = SimConfig(horizon=1.0, sample_times=(1.0,))
+    cfg = SimConfig(sample_times=(1.0,))
     snap = run_replica(g, cfg, rng=0, measured=[3, 7])
     assert snap.measured == (3, 7)
     assert snap.masks.shape == (1, 2)
@@ -446,8 +454,7 @@ def test_measured_override():
 def test_layer_one_density_on_cycle():
     # exact interior curve: (1 - exp(-3t)) / 3
     g = build_cycle(500)
-    cfg = SimConfig(
-        horizon=3.0, sample_times=(0.5, 1.0, 3.0), replicas=120, seed=3, layers=(1,)
+    cfg = SimConfig(sample_times=(0.5, 1.0, 3.0), replicas=120, seed=3, layers=(1,)
     )
     curve = estimate_densities(g, cfg)
     (name, points), = curve.series
@@ -460,8 +467,7 @@ def test_layer_one_density_on_cycle():
 def test_pattern_frequency_long_time_limit():
     # on the cycle the both-layers-occupied frequency tends to 1/9
     g = build_cycle(400)
-    cfg = SimConfig(
-        horizon=8.0, sample_times=(8.0,), replicas=100, seed=9, layers=(), patterns=("11",)
+    cfg = SimConfig(sample_times=(8.0,), replicas=100, seed=9, layers=(), patterns=("11",)
     )
     curve = estimate_densities(g, cfg)
     (name, points), = curve.series
@@ -472,7 +478,7 @@ def test_pattern_frequency_long_time_limit():
 
 def test_estimates_are_deterministic():
     g = build_cycle(120)
-    cfg = SimConfig(horizon=2.0, sample_times=(1.0, 2.0), replicas=10, seed=4,
+    cfg = SimConfig(sample_times=(1.0, 2.0), replicas=10, seed=4,
                     layers=(1, 2), patterns=("0101",))
     a = estimate_densities(g, cfg)
     b = estimate_densities(g, cfg)
@@ -482,15 +488,15 @@ def test_estimates_are_deterministic():
 
 def test_seed_changes_the_estimate():
     g = build_cycle(120)
-    cfg = SimConfig(horizon=2.0, sample_times=(2.0,), replicas=10, seed=4)
-    other = SimConfig(horizon=2.0, sample_times=(2.0,), replicas=10, seed=5)
+    cfg = SimConfig(sample_times=(2.0,), replicas=10, seed=4)
+    other = SimConfig(sample_times=(2.0,), replicas=10, seed=5)
     assert estimate_densities(g, cfg) != estimate_densities(g, other)
 
 
 def test_stderr_shrinks_with_replicas():
     g = build_cycle(300)
-    small = SimConfig(horizon=2.0, sample_times=(2.0,), replicas=50, seed=6, layers=(1,))
-    big = SimConfig(horizon=2.0, sample_times=(2.0,), replicas=200, seed=6, layers=(1,))
+    small = SimConfig(sample_times=(2.0,), replicas=50, seed=6, layers=(1,))
+    big = SimConfig(sample_times=(2.0,), replicas=200, seed=6, layers=(1,))
     se_small = estimate_densities(g, small).series[0][1][0].stderr
     se_big = estimate_densities(g, big).series[0][1][0].stderr
     ratio = se_small / se_big
@@ -499,7 +505,7 @@ def test_stderr_shrinks_with_replicas():
 
 def test_single_replica_has_nan_stderr():
     g = build_cycle(50)
-    cfg = SimConfig(horizon=1.0, sample_times=(1.0,), replicas=1, seed=0)
+    cfg = SimConfig(sample_times=(1.0,), replicas=1, seed=0)
     curve = estimate_densities(g, cfg)
     assert math.isnan(curve.series[0][1][0].stderr)
     assert curve.series[0][1][0].n == 1
@@ -507,23 +513,23 @@ def test_single_replica_has_nan_stderr():
 
 def test_root_measurement():
     g = build_regular_ball(3, radius=4, buffer=1)
-    cfg = SimConfig(horizon=1.0, sample_times=(1.0,), replicas=4, seed=0, measure="root")
+    cfg = SimConfig(sample_times=(1.0,), replicas=4, seed=0, measure="root")
     curve = estimate_densities(g, cfg)
     assert curve.meta["measure"] == "root"
-    snap = run_replica(g, SimConfig(horizon=1.0, sample_times=(1.0,), measure="root"), rng=0)
+    snap = run_replica(g, SimConfig(sample_times=(1.0,), measure="root"), rng=0)
     assert snap.measured == (0,)
 
 
 def test_root_measurement_needs_a_root():
     g = build_cycle(20)
-    cfg = SimConfig(horizon=1.0, sample_times=(1.0,), replicas=2, seed=0, measure="root")
+    cfg = SimConfig(sample_times=(1.0,), replicas=2, seed=0, measure="root")
     with pytest.raises(ValueError):
         estimate_densities(g, cfg)
 
 
 def test_random_ball_source_estimates():
     src = RandomBallSource(TWO_THREE, radius=5, buffer=1)
-    cfg = SimConfig(horizon=1.0, sample_times=(1.0,), replicas=6, seed=12, measure="root")
+    cfg = SimConfig(sample_times=(1.0,), replicas=6, seed=12, measure="root")
     a = estimate_densities(src, cfg)
     b = estimate_densities(src, cfg)
     assert a == b
@@ -545,7 +551,7 @@ def test_random_ball_source_estimates():
 def test_process_pool_gives_the_serial_estimate(graph, observed, replicas, n_jobs):
     # the blocks split unevenly (4 + 3) or are capped at the replica count,
     # and still join in replica order: the same CSV byte for byte
-    cfg = SimConfig(horizon=2.0, sample_times=(1.0, 2.0), replicas=replicas, seed=3,
+    cfg = SimConfig(sample_times=(1.0, 2.0), replicas=replicas, seed=3,
                     **{"layers": (1,), **observed})
     if not isinstance(graph, RandomBallSource):
         assert _cut_to_light_cone(graph, cfg).vertex_count < graph.vertex_count
@@ -583,7 +589,7 @@ def test_worker_count_is_capped(replicas, n_jobs, cpus, pool, monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
     monkeypatch.setattr(deposit, "_usable_cpus", lambda: cpus)
-    cfg = SimConfig(horizon=1.0, sample_times=(1.0,), replicas=replicas, seed=4)
+    cfg = SimConfig(sample_times=(1.0,), replicas=replicas, seed=4)
     graph = build_cycle(30)
     sent = []
     task = deposit._replica_task
@@ -606,7 +612,7 @@ def test_usable_cpus_reads_the_affinity_mask(monkeypatch):
 
 def test_snapshot_observables_shapes():
     g = build_cycle(80)
-    cfg = SimConfig(horizon=2.0, sample_times=(1.0, 2.0), layers=(1, 2), patterns=("11",))
+    cfg = SimConfig(sample_times=(1.0, 2.0), layers=(1, 2), patterns=("11",))
     snap = run_replica(g, cfg, rng=1)
     obs = snapshot_observables(snap, cfg)
     assert obs.shape == (3, 2)
