@@ -16,7 +16,6 @@ from .analytic import (
     RegularDensities,
     averaged_densities,
     betas,
-    qd2_quadrature,
     regular_densities,
     s_conditional,
 )
@@ -69,7 +68,6 @@ __all__ = [
     "make_regular",
     "parse_atoms",
     "pattern_system",
-    "qd2_quadrature",
     "regular_densities",
     "rho1_limit",
     "rho2_limit",

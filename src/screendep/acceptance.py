@@ -1,11 +1,11 @@
 """The package's acceptance battery: nine go/no-go criteria.
 
-Each criterion couples an independent oracle (frozen exact closed forms,
-rational identities, adaptive quadrature, or Monte Carlo at a fixed seed)
-to a tolerance chosen so that a correct implementation passes with wide
-margin at any seed while a wrong rate, a wrong coefficient, or a broken
-seeding scheme fails.  The same battery backs `screendep validate` and
-tests/test_acceptance.py.
+Each criterion couples an independent check (frozen exact closed forms,
+rational identities, a second exact expansion, or Monte Carlo at a fixed
+seed) to a tolerance chosen so that a correct implementation passes with
+wide margin at any seed while a wrong rate, a wrong coefficient, or a
+broken seeding scheme fails.  The exact criteria use no tolerance at all.
+The same battery backs `screendep validate` and tests/test_acceptance.py.
 """
 
 from __future__ import annotations
@@ -13,9 +13,10 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 from typing import Callable
 
-from .analytic import averaged_densities, qd2_quadrature, regular_densities
+from .analytic import averaged_densities, regular_densities, z_kernel
 from .compare import check_gf_dominance, check_jensen, check_layer_dominance, rho2_limit
 from .curves import DensityCurve
 from .degree import DegreeDistribution, make_regular
@@ -98,6 +99,27 @@ FROZEN_0101 = {
 
 TARGET_LIMIT = Fraction(34, 735)
 TARGET_E3_COEFF = Fraction(-1991, 432)
+
+
+def binomial_qd2(dist: DegreeDistribution) -> ExpPoly:
+    """QD2 by the binomial double sum over k and i, one integral per term.
+
+    Expands ((1 + z0 - Z)^{d0} - 1) as sum_{k>=1} C(d0,k) (z0 - Z)^k and
+    (z0 - Z)^k as sum_i C(k,i) (-1)^i z0^{k-i} Z^i: a second exact route
+    to the product form that AveragedDensities.QD2 integrates.
+    """
+    z = z_kernel(dist)
+    z0 = z.at_zero()
+    z_pow = [ExpPoly.one()]
+    for _ in range(dist.max_degree):
+        z_pow.append(z_pow[-1] * z)
+    qd2 = ExpPoly.zero()
+    for d0, w in dist.atoms:
+        for k in range(1, d0 + 1):
+            for i in range(k + 1):
+                coeff = w * comb(d0, k) * comb(k, i) * (-1) ** i * z0 ** (k - i)
+                qd2 = qd2 + (z_pow[i] * ExpPoly.exp(d0 + 1)).integrate0().scale(coeff)
+    return qd2
 
 
 @dataclass(frozen=True)
@@ -267,14 +289,12 @@ class AcceptanceSuite:
             DegreeDistribution.from_pairs({2: "1/4", 4: "3/4"}),
             make_regular(3),
         )
-        grid = [0.5 * i for i in range(1, 21)]
-        worst = 0.0
-        for dist in dists:
-            qd2 = averaged_densities(dist).QD2
-            for t in grid:
-                err = abs(qd2.eval(t) - qd2_quadrature(dist, t))
-                worst = max(worst, err)
-        return worst <= 1e-10, f"3 dists x 20 points: max|exact - quad|={worst:.2e}"
+        differ = [
+            dist.label() for dist in dists if averaged_densities(dist).QD2 != binomial_qd2(dist)
+        ]
+        if differ:
+            return False, f"product form != binomial double sum for {differ}"
+        return True, "3 laws: product form == binomial double sum, exact for every t"
 
     def criterion_8(self) -> tuple[bool, str]:
         two_atom = DegreeDistribution.from_pairs({2: "1/2", 4: "1/2"})
@@ -309,7 +329,7 @@ class AcceptanceSuite:
         (4, "cycle MC vs pattern closed form", None),
         (5, "regular-ball MC vs exact layers", 180.0),
         (6, "random-ball root marginal vs averaged forms", 300.0),
-        (7, "averaged second layer vs quadrature", 5.0),
+        (7, "averaged second layer, two exact expansions", 5.0),
         (8, "comparison certificates", 5.0),
         (9, "byte-identical reruns", None),
     )

@@ -14,7 +14,6 @@ exactly one particle, at layer 1.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -175,30 +174,3 @@ def averaged_densities(dist: DegreeDistribution) -> AveragedDensities:
         qd3 = qd3 + _d3(d).scale(w)
     return AveragedDensities(dist=dist, QD1=qd1, QD3=qd3)
 
-
-def qd2_quadrature(dist: DegreeDistribution, t: float) -> float:
-    """QD2(t) by adaptive quadrature of the un-expanded integrand.
-
-    Uses the product form sum_d0 a_d0 ((1 + z0 - Z_u)^{d0} - 1) e^{-(d0+1)u}
-    with float arithmetic throughout; serves as an oracle for the exact
-    integration in AveragedDensities.QD2.  scipy is imported here, not at
-    module level, so the rest of the package loads without it.
-    """
-    from scipy.integrate import quad
-
-    if t < 0:
-        raise ValueError(f"t must be >= 0, got {t}")
-    if t == 0:
-        return 0.0
-    atoms = [(d, float(w)) for d, w in dist.atoms]
-    z0 = sum(w / (d - 1) for d, w in atoms)
-
-    def z_at(u: float) -> float:
-        return sum(w * math.exp(-(d - 1) * u) / (d - 1) for d, w in atoms)
-
-    def integrand(u: float) -> float:
-        zz = z0 - z_at(u)
-        return sum(w * ((1.0 + zz) ** d - 1.0) * math.exp(-(d + 1) * u) for d, w in atoms)
-
-    value, _err = quad(integrand, 0.0, t, epsabs=1e-13, epsrel=1e-13, limit=200)
-    return value

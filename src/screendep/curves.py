@@ -172,5 +172,9 @@ def parse_grid(text: str) -> tuple[float, ...]:
                 break
             out.append(round(t, 12))
             k += 1
-        return tuple(out)
+        values = tuple(out)
+    if min(values) < 0:
+        raise ValueError(f"grid {text!r} has a negative time")
+    if any(b <= a for a, b in zip(values, values[1:])):
+        raise ValueError(f"grid {text!r} is not strictly increasing")
     return values

@@ -1,19 +1,21 @@
 """Independent reference derivations that the tests compare the package with.
 
 Exact side: the term-pair product of two ExpPoly forms, the code-2 inflow
-rate, the rho2 display, the two-atom C_t(n, x) route to Qrho2 and the
-binomial double sum for QD2.  Simulator: an
+rate, the rho2 display and the two-atom C_t(n, x) route to Qrho2.  Float
+side: adaptive quadrature of the QD2 integrand.  Simulator: an
 event-by-event replay of given arrival times that asserts the two-layer
 transition conditions, the rule the package's layer-by-layer kernel must
-match.
+match.  The binomial double sum for QD2 is not here: `screendep validate`
+runs it, so it lives in screendep.acceptance.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, exp
 
 import numpy as np
+from scipy.integrate import quad
 
 from screendep.analytic import regular_densities, z_kernel
 from screendep.degree import DegreeDistribution
@@ -122,25 +124,29 @@ def two_atom_rho2(dist: DegreeDistribution) -> ExpPoly:
     return out
 
 
-def binomial_qd2(dist: DegreeDistribution) -> ExpPoly:
-    """QD2 by the binomial double sum over k and i, one integral per term.
+def qd2_quadrature(dist: DegreeDistribution, t: float) -> float:
+    """QD2(t) by adaptive quadrature of the un-expanded integrand.
 
-    Expands ((1 + z0 - Z)^{d0} - 1) as sum_{k>=1} C(d0,k) (z0 - Z)^k and
-    (z0 - Z)^k as sum_i C(k,i) (-1)^i z0^{k-i} Z^i: an independent route
-    to the product form that averaged_densities integrates.
+    Uses the product form sum_d0 a_d0 ((1 + z0 - Z_u)^{d0} - 1) e^{-(d0+1)u}
+    with float arithmetic throughout: a check on the exact integration in
+    AveragedDensities.QD2 that shares none of the ExpPoly ring.
     """
-    z = z_kernel(dist)
-    z0 = z.at_zero()
-    z_pow = [ExpPoly.one()]
-    for _ in range(dist.max_degree):
-        z_pow.append(z_pow[-1] * z)
-    qd2 = ExpPoly.zero()
-    for d0, w in dist.atoms:
-        for k in range(1, d0 + 1):
-            for i in range(k + 1):
-                coeff = w * comb(d0, k) * comb(k, i) * (-1) ** i * z0 ** (k - i)
-                qd2 = qd2 + (z_pow[i] * ExpPoly.exp(d0 + 1)).integrate0().scale(coeff)
-    return qd2
+    if t < 0:
+        raise ValueError(f"t must be >= 0, got {t}")
+    if t == 0:
+        return 0.0
+    atoms = [(d, float(w)) for d, w in dist.atoms]
+    z0 = sum(w / (d - 1) for d, w in atoms)
+
+    def z_at(u: float) -> float:
+        return sum(w * exp(-(d - 1) * u) / (d - 1) for d, w in atoms)
+
+    def integrand(u: float) -> float:
+        zz = z0 - z_at(u)
+        return sum(w * ((1.0 + zz) ** d - 1.0) * exp(-(d + 1) * u) for d, w in atoms)
+
+    value, _err = quad(integrand, 0.0, t, epsabs=1e-13, epsrel=1e-13, limit=200)
+    return value
 
 
 # -- simulator --------------------------------------------------------------------

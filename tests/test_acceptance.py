@@ -8,9 +8,14 @@ cycle run, so the file executes in well under the summed budgets.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
 
 from screendep.acceptance import DEFAULT_SEED, AcceptanceSuite
+from screendep.analytic import AveragedDensities
+from screendep.degree import make_regular
+from screendep.exppoly import ExpPoly
 
 
 @pytest.fixture(scope="module")
@@ -49,8 +54,23 @@ def test_criterion_6_random_ball_root_marginal(suite):
     _run(suite, 6)
 
 
-def test_criterion_7_averaged_second_layer_vs_quadrature(suite):
+def test_criterion_7_averaged_second_layer_two_exact_expansions(suite):
     _run(suite, 7)
+
+
+def test_criterion_7_fails_when_qd2_is_off_by_one_term(monkeypatch):
+    # a 1e-9 term at rate 5 moves QD2 by far less than a float check on a
+    # grid could be trusted to see; the exact comparison must still fail
+    true_qd2 = AveragedDensities.QD2.func
+    monkeypatch.setattr(
+        AveragedDensities,
+        "QD2",
+        property(lambda self: true_qd2(self) + ExpPoly.term(Fraction(1, 10**9), rate=5)),
+    )
+    result = AcceptanceSuite().run_criterion(7)
+    assert not result.passed
+    for label in ("2:1/2,3:1/2", "2:1/4,4:3/4", make_regular(3).label()):
+        assert repr(label) in result.detail, result.detail
 
 
 def test_criterion_8_comparison_certificates(suite):

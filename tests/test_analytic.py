@@ -7,17 +7,12 @@ from fractions import Fraction
 import pytest
 
 from screendep import analytic
-from screendep.analytic import (
-    averaged_densities,
-    qd2_quadrature,
-    regular_densities,
-    s_conditional,
-    z_kernel,
-)
+from screendep.acceptance import binomial_qd2
+from screendep.analytic import averaged_densities, regular_densities, s_conditional, z_kernel
 from screendep.degree import DegreeDistribution, make_regular
 from screendep.exppoly import ExpPoly
 
-from oracles import binomial_qd2, c_integral, d2_rate, rho2_display, two_atom_rho2
+from oracles import c_integral, d2_rate, qd2_quadrature, rho2_display, two_atom_rho2
 
 F = Fraction
 
@@ -231,11 +226,19 @@ def test_two_atom_requires_two_atoms():
         two_atom_rho2(make_regular(3))
 
 
-@pytest.mark.parametrize("dist", [TWO_THREE, THREE_SEVEN])
+@pytest.mark.parametrize(
+    "dist",
+    [
+        TWO_THREE,
+        DegreeDistribution.from_pairs({2: "1/4", 4: "3/4"}),
+        make_regular(3),
+        THREE_SEVEN,
+    ],
+)
 def test_quadrature_agrees_with_exact_expansion(dist):
-    av = averaged_densities(dist)
-    for t in (0.5, 2.0, 5.0):
-        assert abs(av.QD2.eval(t) - qd2_quadrature(dist, t)) < 1e-10
+    qd2 = averaged_densities(dist).QD2
+    for t in (0.5 * i for i in range(1, 21)):
+        assert abs(qd2.eval(t) - qd2_quadrature(dist, t)) < 1e-10, t
     assert qd2_quadrature(dist, 0.0) == 0.0
     with pytest.raises(ValueError):
         qd2_quadrature(dist, -1.0)

@@ -146,6 +146,13 @@ def test_parse_grid():
     for bad in ("1,,2", "1:x:2"):
         with pytest.raises(ValueError, match=re.escape(repr(bad))):
             parse_grid(bad)
+    # so does one out of order or below zero
+    for bad in ("2,1", "1,1"):
+        with pytest.raises(ValueError, match=re.escape(f"grid {bad!r} is not strictly increasing")):
+            parse_grid(bad)
+    for bad in ("-1,1", "-1:1:2"):
+        with pytest.raises(ValueError, match=re.escape(f"grid {bad!r} has a negative time")):
+            parse_grid(bad)
 
 
 # -- command line -----------------------------------------------------------------
@@ -780,11 +787,11 @@ def test_missing_subcommand_is_a_usage_error():
 
 
 def test_cli_import_leaves_scipy_unloaded():
-    # numpy, the process pool and scipy are needed only by a simulation or
-    # the quadrature oracle, which import them on first use; a module-level
-    # import would load them for every command.  deposit and graphs are
-    # still imported with the package, so their functions can be wrapped
-    # in place from outside.
+    # numpy and the process pool are needed only by a simulation, which
+    # imports them on first use; a module-level import would load them for
+    # every command.  scipy is no runtime dependency, so no command loads
+    # it.  deposit and graphs are still imported with the package, so their
+    # functions can be wrapped in place from outside.
     src = Path(__file__).resolve().parent.parent / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
     heavy = {"numpy", "scipy", "concurrent.futures", "multiprocessing"}
@@ -800,3 +807,19 @@ def test_cli_import_leaves_scipy_unloaded():
         loaded = set(json.loads(out.stdout))
         assert not loaded & heavy, (module, loaded & heavy)
         assert {"screendep.deposit", "screendep.graphs"} <= loaded, module
+
+
+def test_validate_quick_runs_without_scipy():
+    # with scipy unimportable, the quick battery must still pass: no
+    # criterion may lean on a test-only dependency
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    code = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from screendep.cli import main\n"
+        "sys.exit(main(['validate', '--quick']))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stdout + out.stderr
+    assert "4/4 criteria passed (quick subset)" in out.stdout

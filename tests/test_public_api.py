@@ -1,5 +1,12 @@
 """The public surface is frozen; test-only oracles live in tests/oracles.py."""
 
+import ast
+import re
+import sys
+from pathlib import Path
+
+import pytest
+
 import screendep
 
 PUBLIC_NAMES = """
@@ -8,13 +15,36 @@ PUBLIC_NAMES = """
     SeriesPoint SimConfig TermBudgetError __version__ averaged_densities betas
     build_cycle build_random_ball build_regular_ball check_gf_dominance
     check_jensen check_layer_dominance curve_from_exact estimate_densities
-    make_regular parse_atoms pattern_system qd2_quadrature regular_densities
+    make_regular parse_atoms pattern_system regular_densities
     rho1_limit rho2_limit run_replica s_conditional solve_linear_ode
     target_probability
 """.split()
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_public_names_are_frozen_and_resolve():
     assert sorted(screendep.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert getattr(screendep, name) is not None
+
+
+def _third_party_imports(path: Path) -> set[str]:
+    """Top-level names of the absolute imports in one module, at any depth."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names - set(sys.stdlib_module_names) - {"screendep"}
+
+
+def test_runtime_dependencies_match_imports():
+    tomllib = pytest.importorskip("tomllib")
+    imported = set().union(
+        *(_third_party_imports(p) for p in (ROOT / "src" / "screendep").glob("*.py"))
+    )
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", req).group() for req in project["dependencies"]}
+    assert imported == declared == {"numpy"}
