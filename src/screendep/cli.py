@@ -17,7 +17,7 @@ from .acceptance import DEFAULT_SEED, AcceptanceSuite
 from .analytic import averaged_densities, regular_densities
 from .compare import check_gf_dominance, check_jensen, check_layer_dominance
 from .curves import DensityCurve, curve_from_exact, parse_grid
-from .degree import make_regular, parse_atoms
+from .degree import parse_atoms
 from .deposit import SimConfig, estimate_densities
 from .exppoly import TermBudgetError
 from .graphs import RandomBallSource, build_cycle, build_regular_ball

@@ -7,7 +7,7 @@ not rounded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
@@ -30,7 +30,6 @@ class DegreeDistribution:
     """
 
     atoms: tuple[tuple[int, Fraction], ...]
-    name: str | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if not self.atoms:
@@ -50,7 +49,6 @@ class DegreeDistribution:
     def from_pairs(
         cls,
         pairs: Union[Mapping[int, WeightLike], Iterable[tuple[int, WeightLike]]],
-        name: str | None = None,
     ) -> "DegreeDistribution":
         """Build from (degree, weight) pairs or a mapping, normalizing weights.
 
@@ -73,7 +71,7 @@ class DegreeDistribution:
         atoms = tuple(
             (d, merged[d] / total) for d in sorted(merged) if merged[d] != 0
         )
-        return cls(atoms=atoms, name=name)
+        return cls(atoms=atoms)
 
     @property
     def max_degree(self) -> int:
@@ -86,14 +84,12 @@ class DegreeDistribution:
         return sum(Fraction(d) * w for d, w in self.atoms)
 
     def label(self) -> str:
-        if self.name:
-            return self.name
         return ",".join(f"{d}:{w}" for d, w in self.atoms)
 
 
 def make_regular(d: int) -> DegreeDistribution:
     """Point mass at degree d (the degree law of the d-regular tree)."""
-    return DegreeDistribution.from_pairs({d: 1}, name=f"regular({d})")
+    return DegreeDistribution.from_pairs({d: 1})
 
 
 def parse_atoms(text: str) -> DegreeDistribution:

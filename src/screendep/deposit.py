@@ -37,8 +37,8 @@ whose vertices are numbered breadth-first, the light cones of the measured
 vertices lie in a prefix of the vertex ids, and the arrivals are drawn
 over that prefix alone (m is its size; on a cycle, or when every vertex is
 measured, m = n).  A neighbor outside the prefix receives no arrival and
-never reaches a layer: its T_k is infinite.  A fixed ball is cut to the
-prefix before it is sent to the replicas, which changes nothing.  The
+never reaches a layer: its T_k is infinite.  A fixed ball goes to the
+replicas whole, with its neighbor table over the prefix built once.  The
 masks are those of the finite ball; they are infinite-tree marginals when
 every measured light cone lies inside it, that is when the buffer is at
 least depth for interior vertices, or the radius at least depth for the
@@ -227,24 +227,6 @@ def _cone_arrays(graph: GraphInstance, m: int, measured: tuple[int, ...]):
     return table, index
 
 
-def _cut_to_light_cone(graph: GraphInstance, config: SimConfig) -> GraphInstance:
-    """The prefix of a ball that holds the light cone of its measured
-    vertices: the same masks from the same seed, and less to send to a
-    worker.  Arrivals are drawn only inside the cone, so a vertex outside
-    it never holds a particle and never screens a neighbor."""
-    cone = _light_cone(graph, _measured_vertices(graph, config), config.depth)
-    if cone == graph.vertex_count:
-        return graph
-    return GraphInstance(
-        kind=graph.kind,
-        neighbors=tuple(tuple(u for u in nb if u < cone) for nb in graph.neighbors[:cone]),
-        interior=tuple(v for v in graph.interior if v < cone),
-        root=graph.root,
-        depth=graph.depth[:cone],
-        label=graph.label,
-    )
-
-
 def _settle_layers(
     table: np.ndarray, arrivals: np.ndarray, measured: np.ndarray, sample_times
 ) -> np.ndarray:
@@ -289,9 +271,9 @@ def run_replica(
     Each vertex of the measured vertices' light cone, the first m vertex
     ids, draws its first depth arrival times, and _settle_layers settles
     them one layer at a time (see the module docstring).  The draw depends
-    on the cone alone, so a ball cut to its cone gives the same masks, and
-    not on the sample times.  A cycle must have at least 2 * depth + 1
-    vertices: on a smaller one the light cone wraps around onto itself.
+    on the cone alone, not on the rest of the graph or on the sample
+    times.  A cycle must have at least 2 * depth + 1 vertices: on a
+    smaller one the light cone wraps around onto itself.
     """
     import numpy as np
 
@@ -375,9 +357,10 @@ def estimate_densities(
     realizations; for a RandomBallSource also a fresh tree per replica),
     averages each observable over the measured vertices within a replica,
     and reports the mean over replicas with the standard error of the
-    replica means.  A fixed ball is cut to the light cone of its measured
-    vertices once, before the replicas run; a RandomBallSource is built
-    inside each replica, so only the recipe is sent.
+    replica means.  A fixed graph is sent to each worker as given, with
+    its neighbor table over the measured light cone built once, before
+    any block runs; a RandomBallSource is built inside each replica, so
+    only the recipe is sent.
 
     The replicas run in contiguous blocks, one per worker, and the calling
     process runs the first block while a process pool of the other workers
@@ -395,7 +378,6 @@ def estimate_densities(
     names = observable_names(config)
     reps = config.replicas
     if isinstance(graph, GraphInstance):
-        graph = _cut_to_light_cone(graph, config)
         # Built before any block runs: the pool pickles the graph while the
         # caller runs its block, and building the arrays then would change
         # graph.__dict__ mid-pickle.  The workers receive them ready-made.

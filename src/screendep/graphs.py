@@ -75,9 +75,11 @@ class GraphInstance:
 
 
 def build_cycle(n: int) -> GraphInstance:
-    """Cycle on n >= 5 vertices; every vertex is interior."""
-    if n < 5:
-        raise ValueError(f"cycle needs n >= 5, got {n}")
+    """Cycle on n >= 3 vertices, the smallest simple cycle; every vertex
+    is interior.  How large a cycle a run needs depends on the layers it
+    reads, so run_replica checks that (n >= 2L + 1)."""
+    if n < 3:
+        raise ValueError(f"cycle needs n >= 3, got {n}")
     neighbors = tuple(((v - 1) % n, (v + 1) % n) for v in range(n))
     return GraphInstance(
         kind="cycle",

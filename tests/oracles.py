@@ -17,7 +17,7 @@ from math import comb, exp
 import numpy as np
 from scipy.integrate import quad
 
-from screendep.analytic import regular_densities, z_kernel
+from screendep.analytic import regular_densities
 from screendep.degree import DegreeDistribution
 from screendep.deposit import SimConfig
 from screendep.exppoly import ExpPoly

@@ -308,6 +308,30 @@ def test_simulate_usage_errors(capsys, argv):
 
 
 @pytest.mark.parametrize(
+    "argv, code, named",
+    [
+        (("--n", "3", "--layers", "1"), 0, ""),
+        (("--n", "4"), 2, "cycle(n=4) is too small for layer 2: needs n >= 5"),
+        (("--n", "2", "--layers", "1"), 2, "cycle needs n >= 3, got 2"),
+    ],
+    ids=["triangle_layer1", "square_layer2", "two_vertices"],
+)
+def test_simulate_sizes_a_cycle_by_its_light_cone(capsys, argv, code, named):
+    # a run reading L layers needs 2L + 1 vertices, and a cycle needs 3.  On
+    # the triangle every closed neighborhood is the whole graph, so layer 1
+    # holds exactly (1 - e^{-3t}) / 3, as on the infinite line
+    got, out, err = run_cli(
+        capsys, "simulate", "--graph", "cycle", *argv, "--times", "1",
+        "--replicas", "400", "--seed", "3",
+    )
+    assert got == code, err
+    assert named in err
+    if code == 0:
+        (point,) = DensityCurve.from_csv_text(out).get("layer:1")
+        assert abs(point.mean - (1 - math.exp(-3)) / 3) <= 3 * point.stderr
+
+
+@pytest.mark.parametrize(
     "argv, named",
     [
         (("--d", "3", "--R", "8", "--buffer", "1"), "--buffer 1 is below the observed depth L = 2"),

@@ -77,16 +77,12 @@ def test_make_regular():
     dist = make_regular(3)
     assert dist.is_point_mass()
     assert dist.atoms == ((3, F(1)),)
-    assert dist.label() == "regular(3)"
+    assert dist.label() == "3:1"
 
 
 def test_label_defaults_to_atoms():
     dist = DegreeDistribution.from_pairs({2: "1/2", 3: "1/2"})
     assert dist.label() == "2:1/2,3:1/2"
-
-
-def test_equality_ignores_name():
-    assert DegreeDistribution.from_pairs({2: 1}, name="a") == make_regular(2)
 
 
 def test_parse_atoms():

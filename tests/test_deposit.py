@@ -15,7 +15,6 @@ from screendep.deposit import (
     MAX_TRACKED_LAYERS,
     SimConfig,
     _cone_arrays,
-    _cut_to_light_cone,
     _first_arrivals,
     _light_cone,
     _settle_layers,
@@ -24,7 +23,13 @@ from screendep.deposit import (
     run_replica,
     snapshot_observables,
 )
-from screendep.graphs import RandomBallSource, build_cycle, build_regular_ball, build_random_ball
+from screendep.graphs import (
+    GraphInstance,
+    RandomBallSource,
+    build_cycle,
+    build_random_ball,
+    build_regular_ball,
+)
 
 from oracles import replay
 
@@ -338,38 +343,36 @@ def test_light_cone_filter_is_exact(build, measure, seeds, observed):
     ids=["depth2", "depth4"],
 )
 def test_ball_cut_to_its_light_cone_gives_the_same_masks(measure, observed, cones, monkeypatch):
-    # estimate_densities cuts a fixed ball to the light cone of its measured
-    # vertices before it runs the replicas.  No arrival lands outside the
-    # cone, so each replica of the cut ball equals that of the full one,
-    # seed for seed.  The cone of T_3 to level r has 1 + 3(2^r - 1)
-    # vertices: interior vertices reach level 3 + depth, the root level depth.
+    # a fixed ball goes to every block as given, and each replica draws and
+    # settles only the light cone of its measured vertices, a prefix of the
+    # ids: the masks are those of the ball cut to that prefix, seed for
+    # seed.  The cone of T_3 to level r has 1 + 3(2^r - 1) vertices:
+    # interior vertices reach level 3 + depth, the root level depth.
     ball = build_regular_ball(3, radius=7, buffer=4)
     cfg = SimConfig(sample_times=(0.5, 1.0, 2.0, 4.0), replicas=8, seed=5,
                     measure=measure, **observed)
-    cut = _cut_to_light_cone(ball, cfg)
-    assert cut.vertex_count == cones[measure]
+    measured = ball.interior if measure == "interior" else (ball.root,)
+    m = _light_cone(ball, measured, cfg.depth)
+    assert m == cones[measure]
+    cut = GraphInstance(
+        kind=ball.kind,
+        neighbors=tuple(tuple(u for u in nb if u < m) for nb in ball.neighbors[:m]),
+        interior=tuple(v for v in ball.interior if v < m),
+        root=ball.root,
+        depth=ball.depth[:m],
+    )
     for seed in range(20):
         full, short = run_replica(ball, cfg, rng=seed), run_replica(cut, cfg, rng=seed)
         assert short.measured == full.measured
         assert np.array_equal(short.masks, full.masks)
-    # every block of replicas receives the cut ball, the blocks cover the
-    # replicas once and in order, and the estimate is that of the full ball
+    # every block receives the caller's ball itself, and the blocks cover
+    # the replicas once and in order
     sent = []
     task = deposit._replica_task
     monkeypatch.setattr(deposit, "_replica_task", lambda args: sent.append(args) or task(args))
-
-    def received(graph):
-        assert all(args[0] == graph for args in sent)
-        assert [r for _, _, lo, hi in sent for r in range(lo, hi)] == list(range(cfg.replicas))
-        sent.clear()
-
-    text = estimate_densities(ball, cfg).to_csv_text()
-    received(cut)
-    monkeypatch.setattr(deposit, "_cut_to_light_cone", lambda graph, config: graph)
-    assert estimate_densities(ball, cfg).to_csv_text() == text
-    received(ball)
-    if cut.vertex_count < ball.vertex_count:
-        assert len(pickle.dumps(cut)) < len(pickle.dumps(ball))
+    estimate_densities(ball, cfg)
+    assert all(args[0] is ball for args in sent)
+    assert [r for _, _, lo, hi in sent for r in range(lo, hi)] == list(range(cfg.replicas))
 
 
 # -- arrival process -----------------------------------------------------------
@@ -554,27 +557,20 @@ def test_process_pool_gives_the_serial_estimate(graph, observed, replicas, n_job
     cfg = SimConfig(sample_times=(1.0, 2.0), replicas=replicas, seed=3,
                     **{"layers": (1,), **observed})
     if not isinstance(graph, RandomBallSource):
-        assert _cut_to_light_cone(graph, cfg).vertex_count < graph.vertex_count
+        assert _light_cone(graph, graph.interior, cfg.depth) < graph.vertex_count
     serial = estimate_densities(graph, cfg, n_jobs=1).to_csv_text()
     assert estimate_densities(graph, cfg, n_jobs=n_jobs).to_csv_text() == serial
 
 
-@pytest.mark.parametrize(
-    "replicas, n_jobs, cpus, pool",
-    [(2, 40, 64, 1), (10, 8, 3, 2), (10, 3, 64, 2), (5, 4, 1, None), (1, 4, 8, None)],
-    ids=["replicas", "cpus", "jobs", "one_cpu", "one_replica"],
-)
-def test_worker_count_is_capped(replicas, n_jobs, cpus, pool, monkeypatch):
-    # min(n_jobs, replicas, usable CPUs) workers, of which the caller is one:
-    # the pool starts the others, and none at all when one worker is left
+def _inline_pool(monkeypatch) -> list[int]:
+    """Replace the process pool with one that runs each task in this
+    process when its result is read, as the caller does after its own
+    block.  Returns the worker counts the pools are started with."""
     import concurrent.futures
 
     started = []
 
     class InlineExecutor:
-        """Records its worker count and runs each task in this process
-        when its result is read, as the caller does after its own block."""
-
         def __init__(self, max_workers):
             started.append(max_workers)
 
@@ -588,6 +584,18 @@ def test_worker_count_is_capped(replicas, n_jobs, cpus, pool, monkeypatch):
             return map(fn, tasks)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
+    return started
+
+
+@pytest.mark.parametrize(
+    "replicas, n_jobs, cpus, pool",
+    [(2, 40, 64, 1), (10, 8, 3, 2), (10, 3, 64, 2), (5, 4, 1, None), (1, 4, 8, None)],
+    ids=["replicas", "cpus", "jobs", "one_cpu", "one_replica"],
+)
+def test_worker_count_is_capped(replicas, n_jobs, cpus, pool, monkeypatch):
+    # min(n_jobs, replicas, usable CPUs) workers, of which the caller is one:
+    # the pool starts the others, and none at all when one worker is left
+    started = _inline_pool(monkeypatch)
     monkeypatch.setattr(deposit, "_usable_cpus", lambda: cpus)
     cfg = SimConfig(sample_times=(1.0,), replicas=replicas, seed=4)
     graph = build_cycle(30)
@@ -599,6 +607,37 @@ def test_worker_count_is_capped(replicas, n_jobs, cpus, pool, monkeypatch):
     workers = min(n_jobs, replicas, cpus)
     assert sent == [(replicas * w // workers, replicas * (w + 1) // workers) for w in range(workers)]
     assert text == estimate_densities(graph, cfg).to_csv_text()
+
+
+@pytest.mark.parametrize(
+    "build, n_jobs",
+    [(lambda: build_regular_ball(3, 7, 4), 1), (lambda: build_regular_ball(3, 7, 4), 2),
+     (lambda: build_cycle(30), 1)],
+    ids=["ball_serial", "ball_pool", "cycle"],
+)
+def test_workers_get_the_neighbor_table_ready_made(build, n_jobs, monkeypatch):
+    # the caller builds the table before any block starts.  Block 0 runs
+    # while the pool's feeder thread pickles the graph for the others, so
+    # a table built by block 0 would change the graph mid-pickle; built
+    # first, it is on the graph each block receives, pickled or not
+    _inline_pool(monkeypatch)
+    monkeypatch.setattr(deposit, "_usable_cpus", lambda: n_jobs)
+    graph = build()
+    cfg = SimConfig(sample_times=(1.0, 2.0), replicas=4, seed=4)
+    measured = graph.interior
+    key = (_light_cone(graph, measured, cfg.depth), measured)
+    ready = []
+    task = deposit._replica_task
+
+    def recording(args):
+        kept = args[0].__dict__.get("_cone_arrays", ())
+        sent = pickle.loads(pickle.dumps(args[0])).__dict__.get("_cone_arrays", ())
+        ready.append((kept[:2] == key, sent[:2] == key))
+        return task(args)
+
+    monkeypatch.setattr(deposit, "_replica_task", recording)
+    estimate_densities(graph, cfg, n_jobs=n_jobs)
+    assert ready == [(True, True)] * n_jobs
 
 
 def test_usable_cpus_reads_the_affinity_mask(monkeypatch):

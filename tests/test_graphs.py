@@ -37,8 +37,10 @@ def test_cycle_structure():
 
 
 def test_cycle_minimum_size():
-    with pytest.raises(ValueError):
-        build_cycle(4)
+    # the smallest simple cycle; how large a run needs is run_replica's rule
+    with pytest.raises(ValueError, match="n >= 3"):
+        build_cycle(2)
+    assert build_cycle(3).neighbors == ((2, 1), (0, 2), (1, 0))
 
 
 def test_regular_ball_counts():

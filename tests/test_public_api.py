@@ -48,3 +48,33 @@ def test_runtime_dependencies_match_imports():
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
     declared = {re.match(r"[A-Za-z0-9_.-]+", req).group() for req in project["dependencies"]}
     assert imported == declared == {"numpy"}
+
+
+def _unread_imports(path: Path) -> set[str]:
+    """Names a module imports and never reads; in the package's
+    __init__, a name listed in __all__ counts as read."""
+    tree = ast.parse(path.read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                    continue
+                imported.add(alias.asname or alias.name.split(".")[0])
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    if path.name == "__init__.py":
+        read.update(screendep.__all__)
+    return imported - read
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    unread = {
+        path.name: sorted(names)
+        for path in sorted((ROOT / "src" / "screendep").glob("*.py"))
+        if (names := _unread_imports(path))
+    }
+    assert unread == {}
