@@ -71,7 +71,7 @@ def betas(d: int) -> tuple[Fraction, ...]:
 
 def _d2(d: int) -> ExpPoly:
     r = d + 1
-    terms: list[tuple[object, int, Fraction]] = []
+    terms: list[tuple[int, int, Fraction]] = []
     for k, beta in enumerate(betas(d)):
         beta *= (-1) ** k
         rate = (d - 1) * k + d + 1

@@ -137,11 +137,11 @@ def _poly_in_x(form: ExpPoly) -> list[Fraction]:
     """Coefficients of form as a polynomial in x = e^{-t}, leading term first."""
     coeffs: dict[int, Fraction] = {}
     for rate, power, c in form.terms:
-        if power != 0 or rate.denominator != 1:
+        if power != 0:
             raise ValueError(
                 f"not a polynomial in e^(-t): term {c}*t^{power}*exp(-{rate}t)"
             )
-        coeffs[int(rate)] = c
+        coeffs[rate] = c
     return [coeffs.get(k, Fraction(0)) for k in range(max(coeffs), -1, -1)]
 
 
@@ -166,7 +166,7 @@ def _sign_changes(values: list[Fraction]) -> int:
 def _positive_for_all_t(form: ExpPoly) -> tuple[bool, dict]:
     """Certify form(t) > 0 for every t > 0, exactly.
 
-    form must be a polynomial p in x = e^{-t} (power 0, integer rates;
+    form must be a polynomial p in x = e^{-t} (every power 0;
     otherwise ValueError).  Write p = x^m0 (x - 1)^m1 q with q(0), q(1)
     nonzero.  The Sturm chain of q counts its distinct roots in (0, 1) as
     V(0) - V(1), which holds for repeated roots too.  With none, q keeps the sign

@@ -25,8 +25,8 @@ class DegreeDistribution:
     """Probability distribution over vertex degrees, finite support on {2, 3, ...}.
 
     atoms are (degree, weight) pairs sorted by degree with weights > 0
-    summing exactly to 1.  Use from_pairs to construct; raw weights are
-    normalized there.
+    summing exactly to 1.  Use from_pairs to construct from raw pairs; it
+    checks the law as written and normalizes nothing.
     """
 
     atoms: tuple[tuple[int, Fraction], ...]
@@ -39,39 +39,31 @@ class DegreeDistribution:
             raise ValueError(f"degrees must be integers >= 2, got {degrees}")
         if sorted(set(degrees)) != degrees:
             raise ValueError(f"degrees must be strictly increasing, got {degrees}")
-        if any(not isinstance(w, Fraction) or w <= 0 for _, w in self.atoms):
-            raise ValueError("weights must be positive Fractions")
+        for d, w in self.atoms:
+            if not isinstance(w, Fraction) or w <= 0:
+                raise ValueError(f"degree {d} has weight {w}, weights must be positive Fractions")
         total = sum(w for _, w in self.atoms)
         if total != 1:
-            raise ValueError(f"weights must sum to 1 exactly, got {total}")
+            raise ValueError(f"weights sum to {total}, not to 1")
 
     @classmethod
     def from_pairs(
         cls,
         pairs: Union[Mapping[int, WeightLike], Iterable[tuple[int, WeightLike]]],
     ) -> "DegreeDistribution":
-        """Build from (degree, weight) pairs or a mapping, normalizing weights.
+        """Build from (degree, weight) pairs or a mapping, taken as written.
 
-        Weights may be ints, Fractions or strings like "1/2"; a float is a
-        TypeError, since it has no exact rational to stand for.
+        Nothing is normalized or merged: each degree appears once, each
+        weight is positive, and the weights sum to exactly 1.  Weights may
+        be ints, Fractions or strings like "1/2"; a float is a TypeError,
+        since it has no exact rational to stand for.
         """
-        if isinstance(pairs, Mapping):
-            items = list(pairs.items())
-        else:
-            items = list(pairs)
-        if not items:
-            raise ValueError("degree distribution needs at least one atom")
-        merged: dict[int, Fraction] = {}
-        for d, w in items:
-            d = int(d)
-            merged[d] = merged.get(d, Fraction(0)) + _to_fraction(w)
-        total = sum(merged.values())
-        if total <= 0:
-            raise ValueError("total weight must be positive")
-        atoms = tuple(
-            (d, merged[d] / total) for d in sorted(merged) if merged[d] != 0
-        )
-        return cls(atoms=atoms)
+        weights: dict[int, Fraction] = {}
+        for d, w in pairs.items() if isinstance(pairs, Mapping) else pairs:
+            if d in weights:
+                raise ValueError(f"degree {d} appears more than once")
+            weights[d] = _to_fraction(w)
+        return cls(atoms=tuple(sorted(weights.items())))
 
     @property
     def max_degree(self) -> int:
@@ -95,27 +87,19 @@ def make_regular(d: int) -> DegreeDistribution:
 def parse_atoms(text: str) -> DegreeDistribution:
     """Parse 'k:weight[,k:weight...]' with exact rational weights, e.g. '2:1/2,3:1/2'.
 
-    The law is taken as written, not normalized: each degree appears once,
-    each weight is positive, and the weights sum to exactly 1.
+    The law is taken as written, as from_pairs takes it: each degree
+    appears once, each weight is positive, and the weights sum to exactly 1.
     """
-    weights: dict[int, Fraction] = {}
+    pairs = []
     for chunk in text.split(","):
         chunk = chunk.strip()
         if not chunk:
             continue
         try:
             deg_s, weight_s = chunk.split(":")
-            d, w = int(deg_s), Fraction(weight_s)
+            pairs.append((int(deg_s), Fraction(weight_s)))
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"bad atom {chunk!r}: expected 'degree:weight'") from exc
-        if d in weights:
-            raise ValueError(f"degree {d} appears more than once in {text!r}")
-        if w <= 0:
-            raise ValueError(f"degree {d} has weight {w}, weights must be positive")
-        weights[d] = w
-    if not weights:
+    if not pairs:
         raise ValueError(f"no atoms found in {text!r}")
-    total = sum(weights.values())
-    if total != 1:
-        raise ValueError(f"weights in {text!r} sum to {total}, not to 1")
-    return DegreeDistribution.from_pairs(weights)
+    return DegreeDistribution.from_pairs(pairs)

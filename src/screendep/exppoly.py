@@ -2,14 +2,17 @@
 
 Every layer density and motive closed form used in this package lives in the
 ring of finite sums c * t^k * exp(-a t) with rational coefficients c, integer
-powers k >= 0 and nonnegative rational decay rates a.  The ring is closed
-under addition, multiplication, differentiation, integration from 0, and
-resolvents of the linear ODEs y' = -lam * y + forcing that the hierarchy of
-density equations produces.  Coefficients and rates are fractions.Fraction;
-a product is computed on integer numerators over common denominators and
-turned back into one Fraction per term.  Every result passes through one
-canonicalizer, so derived closed forms can be compared term by term with
-no floating-point tolerance.
+powers k >= 0 and integer decay rates a >= 0.  The rates are integers because
+each one counts unit-rate arrival clocks: e^{-(d+1)t} is the chance that none
+of the d + 1 clocks of a vertex and its neighbors has rung.  The ring is
+closed under addition, multiplication, differentiation, integration from 0,
+and resolvents of the linear ODEs y' = -lam * y + forcing that the hierarchy
+of density equations produces.  Each slot has one exact form: rates and
+powers are ints, coefficients are fractions.Fraction, and input of another
+type is a TypeError, never coerced.  A product is computed on integer
+numerators over common coefficient denominators and turned back into one
+Fraction per term.  Every result passes through one canonicalizer, so derived
+closed forms can be compared term by term with no floating-point tolerance.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import Iterable, Union
 
-Rational = Union[int, str, Fraction]
+Rational = Union[int, Fraction]
 
 # Cap on the canonical terms of one expression: products of long sums can
 # blow up combinatorially, and the cap turns a runaway computation into a
@@ -36,23 +39,31 @@ class DivergentLimitError(ValueError):
 
 
 def _frac(x: Rational) -> Fraction:
+    """A coefficient or scalar as a Fraction: an int or a Fraction, nothing else."""
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
-    raise TypeError(f"expected an exact rational, got {type(x).__name__}")
+    raise TypeError(f"expected an int or a Fraction, got {x!r}")
 
 
-def _accumulate(acc: dict, key: tuple[Fraction, int], c: Fraction) -> None:
+def _count(x: int, what: str) -> int:
+    """A rate or power: an int >= 0, not a bool."""
+    if not isinstance(x, int) or isinstance(x, bool):
+        raise TypeError(f"{what} must be an int, got {x!r}")
+    if x < 0:
+        raise ValueError(f"{what} must be >= 0, got {x!r}")
+    return x
+
+
+def _accumulate(acc: dict, key: tuple[int, int], c: Fraction) -> None:
     old = acc.get(key)
     acc[key] = c if old is None else old + c
 
 
 def _canonical_terms(
-    merged: Iterable[tuple[tuple[Fraction, int], Fraction]],
-) -> tuple[tuple[Fraction, int, Fraction], ...]:
+    merged: Iterable[tuple[tuple[int, int], Fraction]],
+) -> tuple[tuple[int, int, Fraction], ...]:
     """The one canonical form of ((rate, power), coeff) pairs with distinct keys.
 
     Sorted by (rate, power), zero coefficients dropped, TERM_BUDGET checked.
@@ -75,27 +86,21 @@ class ExpPoly:
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms: Iterable[tuple[Rational, int, Rational]] = ()):
+    def __init__(self, terms: Iterable[tuple[int, int, Rational]] = ()):
         """Build from an iterable of (rate, power, coeff) triples.
 
-        Rates must be >= 0 and powers >= 0; triples may repeat and appear
-        in any order.
+        Rates and powers are ints >= 0 and coefficients are ints or
+        Fractions; any other type is a TypeError and a negative rate or
+        power a ValueError.  Triples may repeat and appear in any order.
         """
-        acc: dict[tuple[Fraction, int], Fraction] = {}
+        acc: dict[tuple[int, int], Fraction] = {}
         for a, k, c in terms:
-            a = _frac(a)
-            k = int(k)
-            c = _frac(c)
-            if a < 0:
-                raise ValueError(f"decay rate must be >= 0, got {a}")
-            if k < 0:
-                raise ValueError(f"power must be >= 0, got {k}")
-            _accumulate(acc, (a, k), c)
+            _accumulate(acc, (_count(a, "decay rate"), _count(k, "power")), _frac(c))
         self._terms = _canonical_terms(acc.items())
 
     @classmethod
     def _from_merged(
-        cls, merged: Iterable[tuple[tuple[Fraction, int], Fraction]]
+        cls, merged: Iterable[tuple[tuple[int, int], Fraction]]
     ) -> "ExpPoly":
         """Canonicalize ((rate, power), coeff) pairs with distinct keys, unvalidated."""
         poly = object.__new__(cls)
@@ -117,20 +122,20 @@ class ExpPoly:
         return cls(((0, 0, c),))
 
     @classmethod
-    def term(cls, coeff: Rational = 1, power: int = 0, rate: Rational = 0) -> "ExpPoly":
+    def term(cls, coeff: Rational = 1, power: int = 0, rate: int = 0) -> "ExpPoly":
         """The single term coeff * t^power * exp(-rate t)."""
         return cls(((rate, power, coeff),))
 
     @classmethod
-    def exp(cls, rate: Rational) -> "ExpPoly":
+    def exp(cls, rate: int) -> "ExpPoly":
         """exp(-rate t)."""
         return cls(((rate, 0, 1),))
 
     # -- structure ----------------------------------------------------
 
     @property
-    def terms(self) -> tuple[tuple[Fraction, int, Fraction], ...]:
-        """Canonical (rate, power, coeff) triples, sorted by (rate, power)."""
+    def terms(self) -> tuple[tuple[int, int, Fraction], ...]:
+        """Canonical (int rate, int power, Fraction coeff) triples, sorted by (rate, power)."""
         return self._terms
 
     def __len__(self) -> int:
@@ -139,10 +144,10 @@ class ExpPoly:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def coeff(self, rate: Rational, power: int) -> Fraction:
+    def coeff(self, rate: int, power: int) -> Fraction:
         """Coefficient of t^power * exp(-rate t), zero if absent."""
-        a = _frac(rate)
-        k = int(power)
+        a = _count(rate, "decay rate")
+        k = _count(power, "power")
         for ta, tk, tc in self._terms:
             if ta == a and tk == k:
                 return tc
@@ -177,31 +182,23 @@ class ExpPoly:
                 raise TermBudgetError(
                     f"product of {len(f)} x {len(g)} terms exceeds budget {TERM_BUDGET}"
                 )
-            # Multiply on integers: every rate over one shared denominator,
-            # each operand's coefficients over their own lcm denominator.
-            # Like terms merge as integer sums, and each term becomes a
-            # Fraction once, at the end.
-            rate_den = math.lcm(*(a.denominator for a, _, _ in f + g))
+            # Multiply on integers: each operand's coefficients over their
+            # own lcm denominator.  Like terms merge as integer sums, and
+            # each term becomes a Fraction once, at the end.
             f_den = math.lcm(*(c.denominator for _, _, c in f))
             g_den = math.lcm(*(c.denominator for _, _, c in g))
-            g_int = [
-                (a.numerator * (rate_den // a.denominator), k, c.numerator * (g_den // c.denominator))
-                for a, k, c in g
-            ]
+            g_int = [(a, k, c.numerator * (g_den // c.denominator)) for a, k, c in g]
             acc: dict[tuple[int, int], int] = {}
             for a1, k1, c1 in f:
-                a1 = a1.numerator * (rate_den // a1.denominator)
                 c1 = c1.numerator * (f_den // c1.denominator)
                 for a2, k2, c2 in g_int:
                     key = (a1 + a2, k1 + k2)
                     acc[key] = acc.get(key, 0) + c1 * c2
             den = f_den * g_den
             return ExpPoly._from_merged(
-                ((Fraction(a, rate_den), k), Fraction(num, den)) for (a, k), num in acc.items()
+                (key, Fraction(num, den)) for key, num in acc.items()
             )
-        if isinstance(other, (int, Fraction, str)):
-            return self.scale(other)
-        return NotImplemented
+        return self.scale(other)
 
     __rmul__ = __mul__
 
@@ -303,8 +300,7 @@ class ExpPoly:
             elif k > 1:
                 factors.append(f"t^{k}")
             if a != 0:
-                rate = f"{a}" if a.denominator == 1 else f"({a})"
-                factors.append(f"exp(-{rate}t)")
+                factors.append(f"exp(-{a}t)")
             if not factors or mag != 1:
                 factors.insert(0, str(mag))
             body = "*".join(factors)
@@ -327,7 +323,7 @@ class ExpPoly:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ExpPoly":
-        return cls((a, int(k), c) for a, k, c in data["terms"])
+        return cls((int(a), k, Fraction(c)) for a, k, c in data["terms"])
 
     # -- equality -------------------------------------------------------
 
@@ -343,20 +339,17 @@ class ExpPoly:
 _ZERO_FRAC = Fraction(0)
 
 
-def solve_linear_ode(forcing: ExpPoly, lam: Rational, y0: Rational) -> ExpPoly:
+def solve_linear_ode(forcing: ExpPoly, lam: int, y0: Rational) -> ExpPoly:
     """Exact solution of y'(t) = -lam * y(t) + forcing(t), y(0) = y0.
 
-    lam must be a rational >= 0 so the solution stays in the ring.  Each
+    lam is a decay rate, an int >= 0, so the solution stays in the ring.  Each
     forcing term c * t^k * exp(-a t) contributes its resolvent in closed
     form: when a == lam the term resonates and gains a power of t,
     otherwise integration by parts against exp(-lam t) terminates after
     k + 1 steps.
     """
-    lam = _frac(lam)
-    y0 = _frac(y0)
-    if lam < 0:
-        raise ValueError(f"decay coefficient must be >= 0, got {lam}")
-    acc: dict[tuple[Fraction, int], Fraction] = {(lam, 0): y0}
+    lam = _count(lam, "decay coefficient")
+    acc: dict[tuple[int, int], Fraction] = {(lam, 0): _frac(y0)}
     for a, k, c in forcing.terms:
         mu = lam - a
         if mu == 0:
@@ -366,7 +359,7 @@ def solve_linear_ode(forcing: ExpPoly, lam: Rational, y0: Rational) -> ExpPoly:
         # b_j = (-1)^(k-j) * (k!/j!) / mu^(k-j+1)
         fact = 1
         for j in range(k, -1, -1):
-            b_j = Fraction((-1) ** (k - j) * fact, 1) / mu ** (k - j + 1)
+            b_j = Fraction((-1) ** (k - j) * fact, mu ** (k - j + 1))
             _accumulate(acc, (a, j), c * b_j)
             if j == 0:
                 _accumulate(acc, (lam, 0), -c * b_j)

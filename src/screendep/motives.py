@@ -154,24 +154,14 @@ def _build_system_0101() -> tuple[Motive, ...]:
     )
 
 
-_SYSTEM_BUILDERS = {
-    "0101": _build_system_0101,
-}
-
-
-def known_patterns() -> tuple[str, ...]:
-    return tuple(sorted(_SYSTEM_BUILDERS))
-
-
 def pattern_system(pattern: str = "0101") -> tuple[Motive, ...]:
-    """The solved motive system for a pattern, target motive last."""
-    try:
-        builder = _SYSTEM_BUILDERS[pattern]
-    except KeyError:
-        raise ValueError(
-            f"no motive system for pattern {pattern!r}; known: {known_patterns()}"
-        ) from None
-    return builder()
+    """The solved motive system for a pattern, target motive last.
+
+    Only "0101" has a system; any other word is a ValueError.
+    """
+    if pattern != "0101":
+        raise ValueError(f"no motive system for pattern {pattern!r}; known: ('0101',)")
+    return _build_system_0101()
 
 
 def target_probability(pattern: str = "0101") -> ExpPoly:

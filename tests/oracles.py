@@ -59,7 +59,7 @@ def rho2_display(d: int) -> ExpPoly:
            - d(1 - e^{-(d+1)t})/(d+1)^2 - t e^{-(d+1)t}/(d+1).
     """
     r = d + 1
-    terms: list[tuple[object, int, Fraction]] = []
+    terms: list[tuple[int, int, Fraction]] = []
     for k in range(d + 1):
         rate = (d - 1) * k + d + 1
         beta = (-1) ** k * Fraction(d, d - 1) ** d * comb(d, k) / (d ** k * rate)

@@ -9,8 +9,9 @@ import pytest
 from screendep import analytic
 from screendep.acceptance import binomial_qd2
 from screendep.analytic import averaged_densities, regular_densities, s_conditional, z_kernel
-from screendep.degree import DegreeDistribution, make_regular
+from screendep.degree import DegreeDistribution, make_regular, parse_atoms
 from screendep.exppoly import ExpPoly
+from screendep.motives import pattern_system
 
 from oracles import c_integral, d2_rate, qd2_quadrature, rho2_display, two_atom_rho2
 
@@ -263,3 +264,23 @@ def test_c_integral_validation():
         c_integral(TWO_THREE, -1, 1)
     with pytest.raises(ValueError):
         c_integral(TWO_THREE, 1, -1)
+
+
+def _builder_forms():
+    for d in range(2, 7):
+        rd = regular_densities(d)
+        yield from (rd.D1, rd.D2, rd.D3, rd.rho1, rd.rho2)
+    for text in ("2:1/2,3:1/2", "2:1/4,4:3/4", "3:1"):
+        dist = parse_atoms(text)
+        av = averaged_densities(dist)
+        yield from (av.QD1, av.QD2, av.QD3, av.Qrho1, av.Qrho2, z_kernel(dist))
+    yield from (m.closed_form for m in pattern_system())
+
+
+def test_builders_make_only_int_rates():
+    # every rate counts unit-rate clocks, so the package never builds another
+    forms = list(_builder_forms())
+    assert len(forms) == 25 + 18 + 10
+    for form in forms:
+        for a, k, c in form.terms:
+            assert type(a) is int and type(k) is int and type(c) is Fraction

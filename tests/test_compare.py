@@ -223,7 +223,7 @@ def test_accepted_polynomials_are_positive_inside(coeffs):
 
 @pytest.mark.parametrize(
     "form",
-    [ExpPoly.term(1, power=1, rate=2), ExpPoly.exp(F(1, 2)), ExpPoly.term(1, power=2)],
+    [ExpPoly.term(1, power=1, rate=2), ExpPoly.term(1, power=2)],
 )
 def test_certificate_needs_a_polynomial_in_exp_minus_t(form):
     with pytest.raises(ValueError):

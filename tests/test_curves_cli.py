@@ -225,6 +225,30 @@ def test_ball_streams_are_pinned(capsys, argv, want):
     assert hashlib.sha256(out.encode()).hexdigest() == want
 
 
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        ("analytic --atoms 2:1/3,10:1/3,25:1/3 --grid 0.5:0.5:10",
+         "6fb50798642127aa8508aed9ca88cf3323d135cc0d4cc8fb2dd7a52b3fce7a80"),
+        ("analytic --d 3",
+         "f976b44ab261e17f3114605384ac7035c6a0a4fc878ba1434a8836860d2e85b6"),
+        ("motives --pattern 0101 --show-closed-form",
+         "d207daa961ab44305d8bc794d835eb947f388369a6f7c3f17e62a47927151cca"),
+        ("motives --pattern 0101 --format json",
+         "9fbbe345c40649d52d34d2fc3c0565dc94d6f79e329d75ebd71a322208316fd8"),
+        ("compare --theorem 5 --d 3 --s-atoms 2:1/2,4:1/2 --out -",
+         "5e0f2dc4352b4d71ca424d013f0518bd2fa7a046ae8551d36b67734388b0881e"),
+    ],
+    ids=["analytic_wide_grid", "analytic_d3", "motives_closed_form", "motives_json", "compare_jensen"],
+)
+def test_exact_outputs_are_pinned(capsys, argv, want):
+    # the exact side's printed forms, values and certificates: a change to
+    # the ExpPoly ring, the builders or the renderers changes these bytes
+    code, out, err = run_cli(capsys, *argv.split())
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == want
+
+
 def test_term_budget_overflow_is_a_usage_error(capsys, monkeypatch):
     # exit 1 means a failed validation or comparison; an expression too
     # large for the term budget is a usage error with one line naming it

@@ -17,14 +17,17 @@ from screendep.degree import (
 F = Fraction
 
 
-def test_from_pairs_normalizes():
-    dist = DegreeDistribution.from_pairs({2: 1, 3: 2})
-    assert dist.atoms == ((2, F(1, 3)), (3, F(2, 3)))
+def test_from_pairs_does_not_normalize():
+    # the law is taken as written, in the library as on the command line
+    with pytest.raises(ValueError, match="sum to 3"):
+        DegreeDistribution.from_pairs({2: 1, 3: 2})
 
 
-def test_from_pairs_merges_duplicates():
-    dist = DegreeDistribution.from_pairs([(3, "1/4"), (2, "1/2"), (3, "1/4")])
-    assert dist.atoms == ((2, F(1, 2)), (3, F(1, 2)))
+def test_from_pairs_does_not_merge_or_drop():
+    with pytest.raises(ValueError, match="degree 3 appears more than once"):
+        DegreeDistribution.from_pairs([(3, "1/4"), (2, "1/2"), (3, "1/4")])
+    with pytest.raises(ValueError, match="degree 4 has weight 0"):
+        DegreeDistribution.from_pairs({2: "1/2", 3: "1/2", 4: 0})
 
 
 def test_float_weights_are_rejected():
@@ -127,7 +130,11 @@ def test_parse_atoms_names_the_sum_or_the_degree(text, message):
         max_size=5,
     )
 )
-def test_normalization_invariants(raw):
-    dist = DegreeDistribution.from_pairs(raw)
-    assert sum(w for _, w in dist.atoms) == 1
+def test_only_weights_summing_to_one_are_accepted(raw):
+    total = sum(raw.values())
+    law = {d: F(w, total) for d, w in raw.items()}
+    dist = DegreeDistribution.from_pairs(law)
+    assert dist.atoms == tuple(sorted(law.items()))
     assert dist.mean() >= 2
+    with pytest.raises(ValueError, match="sum to 2"):
+        DegreeDistribution.from_pairs({d: 2 * w for d, w in law.items()})

@@ -9,7 +9,6 @@ import pytest
 from screendep.analytic import regular_densities, s_conditional
 from screendep.exppoly import ExpPoly
 from screendep.motives import (
-    known_patterns,
     pattern_system,
     system_json,
     target_probability,
@@ -130,10 +129,12 @@ def test_motive_values_are_probabilities():
 
 
 def test_registry():
-    assert known_patterns() == ("0101",)
+    # one word has a system; every entry point refuses any other by name
     assert target_probability() == TARGET_0101
-    with pytest.raises(ValueError, match="0101"):
-        pattern_system("0110")
+    for build in (pattern_system, target_probability, system_json):
+        with pytest.raises(ValueError) as info:
+            build("11")
+        assert str(info.value) == "no motive system for pattern '11'; known: ('0101',)"
 
 
 def test_system_json():
