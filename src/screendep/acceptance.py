@@ -259,9 +259,10 @@ class AcceptanceSuite:
             seed=self.seed,
             layers=(1, 2),
         )
-        curve = estimate_densities(
-            build_regular_ball(3, BALL_RADIUS, BALL_BUFFER), config, n_jobs=self.n_jobs
+        ball = build_regular_ball(
+            3, BALL_RADIUS, BALL_BUFFER, reach=config.reach(BALL_RADIUS, BALL_BUFFER)
         )
+        curve = estimate_densities(ball, config, n_jobs=self.n_jobs)
         rd = regular_densities(3)
         ok1, d1 = _curve_vs_exact(curve, "layer:1", rd.rho1, abs_tol=0.005)
         ok2, d2 = _curve_vs_exact(curve, "layer:2", rd.rho2, abs_tol=0.007)

@@ -253,7 +253,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     else:
         spec["buffer"] = _ball_buffer(spec["radius"], spec.get("buffer"), config)
         if kind == "regular":
-            graph = build_regular_ball(spec["d"], spec["radius"], spec["buffer"])
+            graph = build_regular_ball(
+                spec["d"],
+                spec["radius"],
+                spec["buffer"],
+                reach=config.reach(spec["radius"], spec["buffer"]),
+            )
         else:
             graph = RandomBallSource(parse_atoms(spec["atoms"]), spec["radius"], spec["buffer"])
     curve = estimate_densities(graph, config, n_jobs=spec["jobs"])

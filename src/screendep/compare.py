@@ -131,8 +131,6 @@ def check_layer_dominance(d_max: int = 50) -> ComparisonReport:
     )
 
 
-
-
 def _poly_in_x(form: ExpPoly) -> list[Fraction]:
     """Coefficients of form as a polynomial in x = e^{-t}, leading term first."""
     coeffs: dict[int, Fraction] = {}

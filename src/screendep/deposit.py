@@ -37,12 +37,15 @@ whose vertices are numbered breadth-first, the light cones of the measured
 vertices lie in a prefix of the vertex ids, and the arrivals are drawn
 over that prefix alone (m is its size; on a cycle, or when every vertex is
 measured, m = n).  A neighbor outside the prefix receives no arrival and
-never reaches a layer: its T_k is infinite.  A fixed ball goes to the
-replicas whole, with its neighbor table over the prefix built once.  The
-masks are those of the finite ball; they are infinite-tree marginals when
-every measured light cone lies inside it, that is when the buffer is at
-least depth for interior vertices, or the radius at least depth for the
-root.  The CLI derives such a buffer; this module takes the ball as given.
+never reaches a layer: its T_k is infinite.  So a fixed ball need only
+be built down to the deepest level a measured cone reads
+(SimConfig.reach), as the CLI builds a regular ball; it goes to the
+replicas as given, with its neighbor table over the prefix built once.
+The masks are those of the finite ball; they are infinite-tree marginals
+when every measured light cone lies inside it, that is when the buffer is
+at least depth for interior vertices, or the radius at least depth for
+the root.  The CLI derives such a buffer; this module takes the ball as
+given.
 
 The replicas run in contiguous blocks, one per worker: of R replicas on
 w workers, block i holds replicas R * i // w to R * (i + 1) // w - 1.
@@ -155,6 +158,14 @@ class SimConfig:
     def horizon(self) -> float:
         """The last sample time, where a run ends."""
         return self.sample_times[-1]
+
+    def reach(self, radius: int, buffer: int) -> int:
+        """The deepest level of a ball of this radius and buffer that the
+        light cone of a measured vertex reads: the measured depth (radius -
+        buffer for the interior, 0 for the root) plus depth, at most radius.
+        _light_cone applies the same rule to a ball already built."""
+        measured_depth = radius - buffer if self.measure == "interior" else 0
+        return min(radius, measured_depth + self.depth)
 
 
 @dataclass(frozen=True)

@@ -56,6 +56,13 @@ def _count(x: int, what: str) -> int:
     return x
 
 
+def _json_text(x: str, what: str) -> str:
+    """A rate or coefficient as to_json_dict writes it: a string."""
+    if not isinstance(x, str):
+        raise TypeError(f"{what} must be a string in JSON, got {x!r}")
+    return x
+
+
 def _accumulate(acc: dict, key: tuple[int, int], c: Fraction) -> None:
     old = acc.get(key)
     acc[key] = c if old is None else old + c
@@ -209,8 +216,7 @@ class ExpPoly:
         return self.scale(Fraction(1) / c)
 
     def __pow__(self, n: int) -> "ExpPoly":
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("only nonnegative integer powers are supported")
+        n = _count(n, "exponent")
         result = ExpPoly.one()
         base = self
         while n:
@@ -323,7 +329,12 @@ class ExpPoly:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "ExpPoly":
-        return cls((int(a), k, Fraction(c)) for a, k, c in data["terms"])
+        """The inverse of to_json_dict, which writes each rate and
+        coefficient as a string: any other JSON value there is refused."""
+        return cls(
+            (int(_json_text(a, "decay rate")), k, Fraction(_json_text(c, "coefficient")))
+            for a, k, c in data["terms"]
+        )
 
     # -- equality -------------------------------------------------------
 

@@ -103,15 +103,24 @@ def _ball_label(kind: str, params: str, radius: int, buffer: int) -> str:
 
 
 def _grow_ball(
-    kind: str, params: str, radius: int, buffer: int, child_count: Callable[[int], int]
+    kind: str,
+    params: str,
+    radius: int,
+    buffer: int,
+    child_count: Callable[[int], int],
+    reach: int,
 ) -> GraphInstance:
-    """Grow a tree breadth-first from root 0, asking child_count(v) once per
-    vertex above depth `radius` in the order vertices are numbered."""
+    """Grow a tree breadth-first from root 0 down to depth `reach`, asking
+    child_count(v) once per vertex above that depth in the order vertices
+    are numbered.  The label names the ball of radius `radius`, of which
+    this is the prefix of depth <= reach."""
     label = _ball_label(kind, params, radius, buffer)
+    if not 1 <= reach <= radius:
+        raise ValueError(f"reach must be in 1..radius {radius}, got {reach}")
     adj: list[list[int]] = [[]]
     depth = [0]
     frontier = [0]
-    for dep in range(radius):
+    for dep in range(reach):
         next_frontier = []
         for v in frontier:
             for _ in range(child_count(v)):
@@ -132,16 +141,28 @@ def _grow_ball(
     )
 
 
-def build_regular_ball(d: int, radius: int, buffer: int = 0) -> GraphInstance:
+def build_regular_ball(
+    d: int, radius: int, buffer: int = 0, *, reach: int | None = None
+) -> GraphInstance:
     """Ball of radius `radius` in the d-regular tree, rooted at vertex 0.
 
     The root has d children and every internal vertex d - 1; vertices at
-    depth `radius` are leaves.  Interior = depth <= radius - buffer.
+    depth `reach` (default `radius`) are leaves.  A smaller reach builds
+    only the vertices of depth <= reach.  At SimConfig.reach that is the
+    part of the ball the measured light cones read: the simulator draws
+    no arrival beyond it, so the masks are those of the whole ball.  The
+    label still names the ball of radius `radius`.  Interior = depth <=
+    radius - buffer among the vertices built.
     """
     if d < 2:
         raise ValueError(f"regular tree needs d >= 2, got {d}")
     return _grow_ball(
-        "regular_ball", f"d={d}", radius, buffer, lambda v: d if v == 0 else d - 1
+        "regular_ball",
+        f"d={d}",
+        radius,
+        buffer,
+        lambda v: d if v == 0 else d - 1,
+        radius if reach is None else reach,
     )
 
 
@@ -171,7 +192,7 @@ def build_random_ball(
         degree = degs[bisect_left(cum, rng.random())]
         return degree if v == 0 else degree - 1
 
-    return _grow_ball("random_ball", dist.label(), radius, buffer, child_count)
+    return _grow_ball("random_ball", dist.label(), radius, buffer, child_count, radius)
 
 
 @dataclass(frozen=True)

@@ -78,6 +78,22 @@ def test_horizon_is_the_last_sample_time():
 
 
 @pytest.mark.parametrize(
+    "radius, buffer, observed, reach",
+    [
+        (12, 4, {}, 10),
+        (12, 4, {"layers": (1,), "patterns": ("0101",)}, 12),
+        (12, 4, {"measure": "root"}, 2),
+        (3, 0, {"layers": (5,), "measure": "root"}, 3),
+    ],
+    ids=["interior", "interior_capped", "root", "root_capped"],
+)
+def test_reach_is_the_deepest_level_a_measured_cone_reads(radius, buffer, observed, reach):
+    # measured depth (radius - buffer, or 0 at the root) plus depth, at
+    # most the radius
+    assert SimConfig(sample_times=(1.0,), **observed).reach(radius, buffer) == reach
+
+
+@pytest.mark.parametrize(
     "kwargs",
     [
         {"sample_times": (-1.0,)},
@@ -373,6 +389,44 @@ def test_ball_cut_to_its_light_cone_gives_the_same_masks(measure, observed, cone
     estimate_densities(ball, cfg)
     assert all(args[0] is ball for args in sent)
     assert [r for _, _, lo, hi in sent for r in range(lo, hi)] == list(range(cfg.replicas))
+
+
+@pytest.mark.parametrize("n_jobs", [1, 2])
+@pytest.mark.parametrize(
+    "d, radius, buffer, observed",
+    [
+        (3, 7, 4, []),
+        (3, 7, 4, ["--layers", "1", "--patterns", "0101"]),
+        (3, 7, 0, ["--measure", "root"]),
+        (2, 3, 0, ["--layers", "1,2,3", "--measure", "root"]),
+    ],
+    ids=["interior", "interior_whole_ball", "root", "root_whole_ball"],
+)
+def test_cli_grows_a_regular_ball_to_its_light_cone(d, radius, buffer, observed, n_jobs,
+                                                    monkeypatch):
+    # simulate builds only the levels that a measured light cone reads, so
+    # the kernel's cut keeps every vertex built, and the CSV is the whole
+    # ball's byte for byte
+    from screendep import cli
+
+    runs = []
+
+    def recording(graph, config, n_jobs):
+        curve = estimate_densities(graph, config, n_jobs=n_jobs)
+        runs.append((graph, config, curve))
+        return curve
+
+    monkeypatch.setattr(cli, "estimate_densities", recording)
+    argv = ["simulate", "--graph", "regular", "--d", str(d), "--R", str(radius),
+            "--buffer", str(buffer), *observed, "--times", "0.5,2", "--replicas", "6",
+            "--seed", "5", "--jobs", str(n_jobs), "--out", os.devnull]
+    assert cli.main(argv) == 0
+    [(grown, cfg, curve)] = runs
+    measured = deposit._measured_vertices(grown, cfg)
+    assert _light_cone(grown, measured, cfg.depth) == grown.vertex_count
+    whole = build_regular_ball(d, radius, buffer)
+    assert grown.vertex_count == _light_cone(whole, measured, cfg.depth)
+    assert curve.to_csv_text() == estimate_densities(whole, cfg, n_jobs=n_jobs).to_csv_text()
 
 
 # -- arrival process -----------------------------------------------------------

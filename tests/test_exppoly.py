@@ -126,6 +126,14 @@ def test_power_matches_repeated_product():
     assert f ** 3 == f * f * f
 
 
+@pytest.mark.parametrize(
+    "n, error", [(True, TypeError), (2.0, TypeError), ("2", TypeError), (-1, ValueError)]
+)
+def test_power_takes_a_nonnegative_int(n, error):
+    with pytest.raises(error, match=re.escape(repr(n))):
+        ExpPoly.exp(1) ** n
+
+
 rationals = st.fractions(
     min_value=-3, max_value=3, max_denominator=4
 )
@@ -318,6 +326,16 @@ def test_render():
 def test_json_round_trip():
     f = ep((2, 2, F(-7, 3)), (0, 0, 4))
     assert ExpPoly.from_json_dict(json.loads(json.dumps(f.to_json_dict()))) == f
+
+
+@pytest.mark.parametrize(
+    "terms, value", [([[2.7, 0, 0.1]], 2.7), ([["2", 0, 0.1]], 0.1), ([[2, 0, 1]], 2)]
+)
+def test_json_reader_takes_rates_and_coefficients_as_strings(terms, value):
+    # to_json_dict writes both slots as strings, so a JSON number there is
+    # refused by name, not truncated or read as its binary value
+    with pytest.raises(TypeError, match=re.escape(repr(value))):
+        ExpPoly.from_json_dict({"terms": terms})
 
 
 # -- term budget ---------------------------------------------------------------

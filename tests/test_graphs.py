@@ -84,11 +84,35 @@ def test_ball_interior_tracks_buffer():
         {"d": 3, "radius": 0, "buffer": 0},
         {"d": 3, "radius": 3, "buffer": -1},
         {"d": 3, "radius": 3, "buffer": 3},
+        {"d": 3, "radius": 3, "buffer": 0, "reach": 0},
+        {"d": 3, "radius": 3, "buffer": 0, "reach": 4},
     ],
 )
 def test_ball_parameter_validation(kwargs):
     with pytest.raises(ValueError):
         build_regular_ball(**kwargs)
+
+
+@pytest.mark.parametrize(
+    "d, radius, buffer, reach",
+    [(3, 7, 4, 5), (3, 7, 4, 2), (3, 12, 4, 10), (2, 5, 1, 5), (4, 4, 0, 1)],
+)
+def test_ball_grown_to_a_reach_is_a_prefix_of_the_whole_ball(d, radius, buffer, reach):
+    # the levels down to `reach`, numbered as in the whole ball, under the
+    # whole ball's label; the interior is the whole ball's wherever the
+    # reach covers it, the root's cone (reach < radius - buffer) otherwise
+    whole = build_regular_ball(d, radius, buffer)
+    grown = build_regular_ball(d, radius, buffer, reach=reach)
+    n = grown.vertex_count
+    assert n == sum(dep <= reach for dep in whole.depth)
+    assert grown.label == whole.label
+    assert grown.root == whole.root == 0
+    assert grown.depth == whole.depth[:n]
+    assert max(grown.depth) == reach
+    assert grown.interior == tuple(v for v in whole.interior if v < n)
+    assert (grown.interior == whole.interior) == (reach >= radius - buffer)
+    assert grown.neighbors == tuple(tuple(u for u in nb if u < n) for nb in whole.neighbors[:n])
+    assert build_regular_ball(d, radius, buffer, reach=radius) == whole
 
 
 def test_graph_instance_validation():
