@@ -15,7 +15,7 @@ WeightLike = Union[int, str, Fraction]
 
 
 def _to_fraction(w: WeightLike) -> Fraction:
-    if isinstance(w, (Fraction, int, str)):
+    if isinstance(w, (Fraction, int, str)) and not isinstance(w, bool):
         return Fraction(w)
     raise TypeError(f"weights must be exact (int, str or Fraction), got {type(w).__name__}")
 

@@ -67,7 +67,7 @@ import os
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import zip_longest
-from typing import TYPE_CHECKING, Sequence, Union
+from typing import TYPE_CHECKING, Union
 
 from ._version import __version__
 from .curves import DensityCurve, SeriesPoint
@@ -84,16 +84,6 @@ _ARRIVAL_STREAM = 1
 MAX_TRACKED_LAYERS = 32
 
 
-def _normalize_pattern(p) -> str:
-    if isinstance(p, str):
-        word = p
-    else:
-        word = "".join(str(int(b)) for b in p)
-    if not word or any(ch not in "01" for ch in word):
-        raise ValueError(f"pattern must be a nonempty binary word, got {p!r}")
-    return word
-
-
 def _is_integer(x) -> bool:
     return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
@@ -106,9 +96,9 @@ class SimConfig:
     ends at the last of them, its horizon, since a replica's work does not
     depend on how long it runs.
     layers lists the single-layer densities to report; patterns are
-    top-down binary words over the lowest len(pattern) layers.  measure
-    selects which vertices are averaged: the interior set or the root
-    alone (tree-averaged observables on random balls use the root).
+    top-down binary words, as strings, over the lowest len(pattern) layers.
+    measure selects which vertices are averaged: the graph's interior or
+    its root alone (tree-averaged observables on random balls use the root).
     """
 
     sample_times: tuple[float, ...]
@@ -119,13 +109,18 @@ class SimConfig:
     measure: str = "interior"
 
     def __post_init__(self):
-        object.__setattr__(self, "sample_times", tuple(float(t) for t in self.sample_times))
+        times, patterns = tuple(self.sample_times), tuple(self.patterns)
+        if not all(isinstance(t, numbers.Real) and not isinstance(t, bool) for t in times):
+            raise TypeError(f"sample times must be real numbers, got {times!r}")
+        if not all(isinstance(p, str) for p in patterns):
+            raise TypeError(f"patterns must be strings, got {patterns!r}")
+        object.__setattr__(self, "sample_times", tuple(float(t) for t in times))
+        object.__setattr__(self, "patterns", patterns)
         if not all(_is_integer(k) for k in self.layers):
             raise ValueError(f"layers must be integers, got {self.layers!r}")
         object.__setattr__(self, "layers", tuple(int(k) for k in self.layers))
-        object.__setattr__(
-            self, "patterns", tuple(_normalize_pattern(p) for p in self.patterns)
-        )
+        if not all(p and set(p) <= {"0", "1"} for p in patterns):
+            raise ValueError(f"patterns must be nonempty binary words, got {patterns!r}")
         if not self.sample_times:
             raise ValueError("at least one sample time is required")
         if not all(math.isfinite(t) and t > 0 for t in self.sample_times):
@@ -170,9 +165,8 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class ReplicaSnapshot:
-    """Per-vertex mask snapshots at the sample times."""
+    """The measured vertices' masks at the sample times, (n_times, n_measured)."""
 
-    sample_times: tuple[float, ...]
     measured: tuple[int, ...]
     masks: np.ndarray
 
@@ -182,14 +176,6 @@ def observable_names(config: SimConfig) -> tuple[str, ...]:
     return tuple(f"layer:{k}" for k in config.layers) + tuple(
         f"pattern:{p}" for p in config.patterns
     )
-
-
-def _measured_vertices(graph: GraphInstance, config: SimConfig) -> tuple[int, ...]:
-    if config.measure == "root":
-        if graph.root is None:
-            raise ValueError(f"graph {graph.label!r} has no root to measure")
-        return (graph.root,)
-    return graph.interior
 
 
 def _light_cone(graph: GraphInstance, measured: tuple[int, ...], depth: int) -> int:
@@ -270,70 +256,67 @@ def _settle_layers(
     return masks
 
 
-def run_replica(
-    graph: GraphInstance,
-    config: SimConfig,
-    rng: np.random.Generator | np.random.SeedSequence | int | None,
-    *,
-    measured: Sequence[int] | None = None,
-) -> ReplicaSnapshot:
-    """Simulate one arrival realization and snapshot it at the sample times.
-
-    Each vertex of the measured vertices' light cone, the first m vertex
-    ids, draws its first depth arrival times, and _settle_layers settles
-    them one layer at a time (see the module docstring).  The draw depends
-    on the cone alone, not on the rest of the graph or on the sample
-    times.  A cycle must have at least 2 * depth + 1 vertices: on a
-    smaller one the light cone wraps around onto itself.
-    """
-    import numpy as np
-
+def _replica_setup(graph: GraphInstance, config: SimConfig):
+    """The measured ids that config.measure names on graph, and the cached
+    _cone_arrays over their light cone.  A cycle must have at least
+    2 * depth + 1 vertices: on a smaller one the cone wraps onto itself."""
     depth = config.depth
     if graph.kind == "cycle" and graph.vertex_count < 2 * depth + 1:
         raise ValueError(
             f"{graph.label} is too small for layer {depth}: needs n >= {2 * depth + 1}"
         )
+    if config.measure == "interior":
+        measured = graph.interior
+    elif graph.root is None:
+        raise ValueError(f"graph {graph.label!r} has no root to measure")
+    else:
+        measured = (graph.root,)
+    table, index = _cone_arrays(graph, _light_cone(graph, measured, depth), measured)
+    return measured, table, index
+
+
+def run_replica(
+    graph: GraphInstance,
+    config: SimConfig,
+    rng: np.random.Generator | np.random.SeedSequence | int | None,
+) -> ReplicaSnapshot:
+    """Simulate one arrival realization and snapshot it at the sample times.
+
+    The measured vertices are graph.interior, or (graph.root,) when
+    config.measure is "root"; to measure another set, give the graph that
+    interior with dataclasses.replace.  Each vertex of their light cone,
+    the first m vertex ids, draws its first depth arrival times, and
+    _settle_layers settles them one layer at a time (see the module
+    docstring).  The draw depends on the cone alone, not on the rest of
+    the graph or on the sample times.
+    """
+    import numpy as np
+
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
-    if measured is None:
-        measured = _measured_vertices(graph, config)
-    measured = tuple(measured)
-    m = _light_cone(graph, measured, depth)
-    table, index = _cone_arrays(graph, m, measured)
-    masks = _settle_layers(table, _first_arrivals(m, depth, rng), index, config.sample_times)
-    return ReplicaSnapshot(sample_times=config.sample_times, measured=measured, masks=masks)
+    measured, table, index = _replica_setup(graph, config)
+    arrivals = _first_arrivals(table.shape[1], config.depth, rng)
+    return ReplicaSnapshot(
+        measured=measured, masks=_settle_layers(table, arrivals, index, config.sample_times)
+    )
 
 
 def snapshot_observables(snap: ReplicaSnapshot, config: SimConfig) -> np.ndarray:
-    """Per-replica observable means, shape (n_observables, n_times)."""
+    """Per-replica observable means, shape (n_observables, n_times), in
+    observable_names' order."""
     import numpy as np
 
-    n_times = len(snap.sample_times)
-    names_count = len(config.layers) + len(config.patterns)
-    out = np.empty((names_count, n_times), dtype=np.float64)
-    row = 0
-    for k in config.layers:
-        out[row] = ((snap.masks >> (k - 1)) & 1).mean(axis=1)
-        row += 1
-    for p in config.patterns:
-        width = len(p)
-        value = int(p, 2)
-        window = (1 << width) - 1
-        out[row] = ((snap.masks & window) == value).mean(axis=1)
-        row += 1
-    return out
+    masks = snap.masks
+    rows = [(masks >> (k - 1)) & 1 for k in config.layers] + [
+        (masks & ((1 << len(p)) - 1)) == int(p, 2) for p in config.patterns
+    ]
+    return np.array([row.mean(axis=1) for row in rows])
 
 
 def _replica_seed(seed: int, replica: int, stream: int) -> np.random.SeedSequence:
     import numpy as np
 
     return np.random.SeedSequence(seed, spawn_key=(replica, stream))
-
-
-def _resolve_graph(graph: GraphLike, seed: int, replica: int) -> GraphInstance:
-    if isinstance(graph, RandomBallSource):
-        return graph.build(_replica_seed(seed, replica, _GRAPH_STREAM))
-    return graph
 
 
 def _replica_task(args) -> np.ndarray:
@@ -344,10 +327,20 @@ def _replica_task(args) -> np.ndarray:
     graph, config, lo, hi = args
     stats = []
     for r in range(lo, hi):
-        instance = _resolve_graph(graph, config.seed, r)
+        instance = graph
+        if isinstance(graph, RandomBallSource):
+            instance = graph.build(_replica_seed(config.seed, r, _GRAPH_STREAM))
         snap = run_replica(instance, config, _replica_seed(config.seed, r, _ARRIVAL_STREAM))
         stats.append(snapshot_observables(snap, config))
     return np.stack(stats)
+
+
+def _check_jobs(n_jobs) -> None:
+    """Raise unless n_jobs is a worker count: an integer >= 1, not a bool."""
+    if not _is_integer(n_jobs):
+        raise TypeError(f"n_jobs must be an int, got {n_jobs!r}")
+    if n_jobs < 1:
+        raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
 
 
 def _usable_cpus() -> int:
@@ -384,16 +377,14 @@ def estimate_densities(
     """
     import numpy as np
 
-    if n_jobs < 1:
-        raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
+    _check_jobs(n_jobs)
     names = observable_names(config)
     reps = config.replicas
     if isinstance(graph, GraphInstance):
         # Built before any block runs: the pool pickles the graph while the
         # caller runs its block, and building the arrays then would change
         # graph.__dict__ mid-pickle.  The workers receive them ready-made.
-        measured = _measured_vertices(graph, config)
-        _cone_arrays(graph, _light_cone(graph, measured, config.depth), measured)
+        _replica_setup(graph, config)
     workers = min(n_jobs, reps, _usable_cpus())
     blocks = [
         (graph, config, reps * w // workers, reps * (w + 1) // workers)

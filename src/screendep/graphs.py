@@ -4,7 +4,8 @@ Three families: cycles (the periodic stand-in for the doubly infinite
 line), radius-R balls of d-regular trees, and radius-R balls of random
 trees whose vertex degrees are drawn from a DegreeDistribution.  Balls
 carry a root, per-vertex depths and an interior set (depth <= R - buffer)
-so measurements can stay away from the leaf boundary.
+so measurements can stay away from the leaf boundary.  Every size (n, d,
+radius, buffer, reach) is an int: a bool or a float is a TypeError.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from itertools import accumulate
 from typing import TYPE_CHECKING, Callable
 
 from .degree import DegreeDistribution
+from .exppoly import _count
 
 if TYPE_CHECKING:
     import numpy as np
@@ -78,7 +80,7 @@ def build_cycle(n: int) -> GraphInstance:
     """Cycle on n >= 3 vertices, the smallest simple cycle; every vertex
     is interior.  How large a cycle a run needs depends on the layers it
     reads, so run_replica checks that (n >= 2L + 1)."""
-    if n < 3:
+    if _count(n, "n") < 3:
         raise ValueError(f"cycle needs n >= 3, got {n}")
     neighbors = tuple(((v - 1) % n, (v + 1) % n) for v in range(n))
     return GraphInstance(
@@ -90,12 +92,11 @@ def build_cycle(n: int) -> GraphInstance:
 
 
 def _ball_label(kind: str, params: str, radius: int, buffer: int) -> str:
-    """The label of a ball, after checking that it leaves an interior."""
-    if radius < 1:
+    """The label of a ball, after checking that radius and buffer are ints
+    and leave an interior."""
+    if _count(radius, "radius") < 1:
         raise ValueError(f"radius must be >= 1, got {radius}")
-    if buffer < 0:
-        raise ValueError(f"buffer must be >= 0, got {buffer}")
-    if buffer >= radius:
+    if _count(buffer, "buffer") >= radius:
         raise ValueError(
             f"buffer {buffer} must be < radius {radius} to leave an interior"
         )
@@ -115,7 +116,7 @@ def _grow_ball(
     are numbered.  The label names the ball of radius `radius`, of which
     this is the prefix of depth <= reach."""
     label = _ball_label(kind, params, radius, buffer)
-    if not 1 <= reach <= radius:
+    if not 1 <= _count(reach, "reach") <= radius:
         raise ValueError(f"reach must be in 1..radius {radius}, got {reach}")
     adj: list[list[int]] = [[]]
     depth = [0]
@@ -154,7 +155,7 @@ def build_regular_ball(
     label still names the ball of radius `radius`.  Interior = depth <=
     radius - buffer among the vertices built.
     """
-    if d < 2:
+    if _count(d, "d") < 2:
         raise ValueError(f"regular tree needs d >= 2, got {d}")
     return _grow_ball(
         "regular_ball",

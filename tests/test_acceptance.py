@@ -12,10 +12,18 @@ from fractions import Fraction
 
 import pytest
 
-from screendep.acceptance import DEFAULT_SEED, AcceptanceSuite
+from screendep.acceptance import (
+    BALL_BUFFER,
+    BALL_RADIUS,
+    DEFAULT_SEED,
+    RANDOM_TIMES,
+    AcceptanceSuite,
+)
 from screendep.analytic import AveragedDensities
-from screendep.degree import make_regular
+from screendep.degree import DegreeDistribution, make_regular
+from screendep.deposit import SimConfig, estimate_densities
 from screendep.exppoly import ExpPoly
+from screendep.graphs import RandomBallSource
 
 
 @pytest.fixture(scope="module")
@@ -79,3 +87,29 @@ def test_criterion_8_comparison_certificates(suite):
 
 def test_criterion_9_byte_identical_reruns(suite):
     _run(suite, 9)
+
+
+def test_criterion_6_draws_only_the_root_light_cone():
+    # criterion 6 measures the root, whose light cone is the ball of radius
+    # L = depth; the breadth-first build draws that ball's degrees first, so
+    # radius-L balls give the data rows of the R=12, B=4 balls seed for
+    # seed.  Negative control: radius L - 1 misses arrivals that matter.
+    dist = DegreeDistribution.from_pairs({2: "1/2", 3: "1/2"})
+    config = SimConfig(sample_times=RANDOM_TIMES, replicas=300, seed=DEFAULT_SEED,
+                       layers=(1, 2), measure="root")
+
+    def rows(radius, buffer=0):
+        curve = estimate_densities(RandomBallSource(dist, radius, buffer), config)
+        return curve.to_csv_text().splitlines()[1:]
+
+    cone = rows(config.depth)
+    assert cone == rows(BALL_RADIUS, BALL_BUFFER)
+    assert cone != rows(config.depth - 1)
+
+
+@pytest.mark.parametrize(
+    "n_jobs, error", [(1.5, TypeError), (True, TypeError), ("2", TypeError), (0, ValueError)]
+)
+def test_suite_checks_n_jobs(n_jobs, error):
+    with pytest.raises(error, match="n_jobs"):
+        AcceptanceSuite(n_jobs=n_jobs)

@@ -39,6 +39,9 @@ def test_float_weights_are_rejected():
 def test_weight_type_errors():
     with pytest.raises(TypeError):
         DegreeDistribution.from_pairs({2: [1]})
+    # True is an int to Python, but it is not the weight 1
+    with pytest.raises(TypeError, match="bool"):
+        DegreeDistribution.from_pairs({2: True})
 
 
 @pytest.mark.parametrize(

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import os
 import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -49,7 +50,7 @@ def _continued(arrivals, horizon, rng):
 
 
 def test_config_normalizes_patterns():
-    cfg = SimConfig(sample_times=(1, 2), patterns=["0101", (1, 1)])
+    cfg = SimConfig(sample_times=(1, 2), patterns=["0101", "11"])
     assert cfg.patterns == ("0101", "11")
     assert cfg.sample_times == (1.0, 2.0)
     # numpy integers count as integers, and layers become Python ints
@@ -123,8 +124,7 @@ def test_reach_is_the_deepest_level_a_measured_cone_reads(radius, buffer, observ
         {"sample_times": (1.0,), "layers": (2, 2)},
         {"sample_times": (1.0,), "layers": (1, 2, 1)},
         {"sample_times": (1.0,), "patterns": ("11", "11")},
-        # repeated once normalized: a bit sequence and its word
-        {"sample_times": (1.0,), "patterns": ("0101", (0, 1, 0, 1))},
+        {"sample_times": (1.0,), "patterns": ("0101", "0101")},
     ],
 )
 def test_config_validation(kwargs):
@@ -136,12 +136,30 @@ def test_config_validation(kwargs):
     "kwargs, named",
     [
         ({"layers": (2, 2)}, "layers must not repeat"),
-        ({"patterns": ("0101", (0, 1, 0, 1))}, "patterns must not repeat"),
+        ({"patterns": ("0101", "0101")}, "patterns must not repeat"),
     ],
 )
 def test_config_names_the_repeated_observable(kwargs, named):
     with pytest.raises(ValueError, match=named):
         SimConfig(sample_times=(1.0,), **kwargs)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        # a pattern is a word: a bit sequence is not read as one
+        {"patterns": ((1, 1),)},
+        {"patterns": ((True, 0),)},
+        {"patterns": (11,)},
+        # a sample time is a real number: a string or a bool is not coerced
+        {"sample_times": ("1", "2")},
+        {"sample_times": (True,)},
+        {"sample_times": (1.0, "2")},
+    ],
+)
+def test_config_refuses_a_wrong_type(kwargs):
+    with pytest.raises(TypeError):
+        SimConfig(**{"sample_times": (1.0,), **kwargs})
 
 
 # -- settlement rule and per-event rate conformance --------------------------------
@@ -187,17 +205,18 @@ def test_settlements_conform_to_transition_rates(graph, horizon, observed):
     if graph.depth is not None:
         reach = max(graph.depth[v] for v in interior) + depth
         cone = sum(d <= reach for d in graph.depth)
+    everyone = replace(graph, interior=tuple(range(n)))
     extra = np.random.default_rng(7)
     settled = undrawn = 0
     for r in range(8):
         seed = 1000 + r
         arrivals = _continued(_first_arrivals(n, depth, np.random.default_rng(seed)), horizon, extra)
         reference = replay(graph, cfg, arrivals)
-        snap = run_replica(graph, cfg, rng=seed, measured=range(n))
+        snap = run_replica(everyone, cfg, rng=seed)
         assert np.array_equal(snap.masks, reference)
         inside = _continued(_first_arrivals(cone, depth, np.random.default_rng(seed)), horizon, extra)
         inner = replay(graph, cfg, inside)
-        snap = run_replica(graph, cfg, rng=seed, measured=interior)
+        snap = run_replica(graph, cfg, rng=seed)
         assert np.array_equal(snap.masks, inner[:, interior])
         before = arrivals <= horizon
         settled += np.count_nonzero(before)
@@ -422,8 +441,8 @@ def test_cli_grows_a_regular_ball_to_its_light_cone(d, radius, buffer, observed,
             "--seed", "5", "--jobs", str(n_jobs), "--out", os.devnull]
     assert cli.main(argv) == 0
     [(grown, cfg, curve)] = runs
-    measured = deposit._measured_vertices(grown, cfg)
-    assert _light_cone(grown, measured, cfg.depth) == grown.vertex_count
+    measured, table, _ = deposit._replica_setup(grown, cfg)
+    assert table.shape[1] == grown.vertex_count
     whole = build_regular_ball(d, radius, buffer)
     assert grown.vertex_count == _light_cone(whole, measured, cfg.depth)
     assert curve.to_csv_text() == estimate_densities(whole, cfg, n_jobs=n_jobs).to_csv_text()
@@ -498,11 +517,15 @@ def test_small_cycle_is_rejected():
 
 
 def test_measured_override():
+    # another measured set is another interior, checked by GraphInstance
     g = build_cycle(50)
     cfg = SimConfig(sample_times=(1.0,))
-    snap = run_replica(g, cfg, rng=0, measured=[3, 7])
+    snap = run_replica(replace(g, interior=(3, 7)), cfg, rng=0)
     assert snap.measured == (3, 7)
     assert snap.masks.shape == (1, 2)
+    for bad in (-1, 50):
+        with pytest.raises(ValueError, match="out of range"):
+            replace(g, interior=(3, bad))
 
 
 # -- estimates -----------------------------------------------------------------
@@ -558,6 +581,16 @@ def test_stderr_shrinks_with_replicas():
     se_big = estimate_densities(g, big).series[0][1][0].stderr
     ratio = se_small / se_big
     assert 1.3 < ratio < 3.0, ratio
+
+
+@pytest.mark.parametrize(
+    "n_jobs, error", [(1.5, TypeError), (True, TypeError), ("2", TypeError), (0, ValueError)]
+)
+def test_n_jobs_is_a_positive_int(n_jobs, error):
+    # a float is not truncated to a worker count and True is not one worker
+    cfg = SimConfig(sample_times=(1.0,), replicas=2)
+    with pytest.raises(error, match="n_jobs"):
+        estimate_densities(build_cycle(20), cfg, n_jobs=n_jobs)
 
 
 def test_single_replica_has_nan_stderr():

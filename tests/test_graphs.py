@@ -94,6 +94,31 @@ def test_ball_parameter_validation(kwargs):
 
 
 @pytest.mark.parametrize(
+    "build, value",
+    [
+        (lambda: build_regular_ball(3, True), True),
+        (lambda: build_regular_ball(3, 4.0), 4.0),
+        (lambda: build_regular_ball(3, 4, buffer=1.0), 1.0),
+        (lambda: build_regular_ball(3, 4, reach=True), True),
+        (lambda: RandomBallSource(make_regular(3), True), True),
+        (lambda: build_random_ball(make_regular(3), 4.0, rng=0), 4.0),
+        (lambda: build_regular_ball(3.0, 4), 3.0),
+        (lambda: build_cycle(30.0), 30.0),
+        (lambda: build_cycle(True), True),
+    ],
+    ids=[
+        "radius_bool", "radius_float", "buffer_float", "reach_bool", "source_radius_bool",
+        "random_radius_float", "degree_float", "cycle_float", "cycle_bool",
+    ],
+)
+def test_sizes_are_ints(build, value):
+    # a bool is not a size and a float is not truncated to one: the label
+    # would name R=True, and reach=True would grow the ball to depth 1
+    with pytest.raises(TypeError, match=f"must be an int, got {value!r}"):
+        build()
+
+
+@pytest.mark.parametrize(
     "d, radius, buffer, reach",
     [(3, 7, 4, 5), (3, 7, 4, 2), (3, 12, 4, 10), (2, 5, 1, 5), (4, 4, 0, 1)],
 )

@@ -1,6 +1,8 @@
 """The public surface is frozen; test-only oracles live in tests/oracles.py."""
 
 import ast
+import dataclasses
+import inspect
 import re
 import sys
 from pathlib import Path
@@ -27,6 +29,61 @@ def test_public_names_are_frozen_and_resolve():
     assert sorted(screendep.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert getattr(screendep, name) is not None
+
+
+# The knobs of the public surface: each callable's parameter names and each
+# dataclass's fields.  A knob added or removed shows up here as a diff.
+PUBLIC_KNOBS = {
+    "AveragedDensities": ("dist", "QD1", "QD3"),
+    "ComparisonReport": ("claim", "params", "status", "checks"),
+    "DegreeDistribution": ("atoms",),
+    "DensityCurve": ("times", "series", "meta"),
+    "ExpPoly": ("terms",),
+    "GraphInstance": ("kind", "neighbors", "interior", "root", "depth", "label"),
+    "Motive": ("name", "description", "definition", "closed_form"),
+    "RandomBallSource": ("dist", "radius", "buffer"),
+    "RegularDensities": ("d", "D1", "D2", "D3"),
+    "ReplicaSnapshot": ("measured", "masks"),
+    "SeriesPoint": ("mean", "stderr", "n"),
+    "SimConfig": ("sample_times", "replicas", "seed", "layers", "patterns", "measure"),
+    "averaged_densities": ("dist",),
+    "betas": ("d",),
+    "build_cycle": ("n",),
+    "build_random_ball": ("dist", "radius", "buffer", "rng"),
+    "build_regular_ball": ("d", "radius", "buffer", "reach"),
+    "check_gf_dominance": ("s_dist", "t_dist"),
+    "check_jensen": ("d", "s_dist"),
+    "check_layer_dominance": ("d_max",),
+    "curve_from_exact": ("times", "named_forms", "meta"),
+    "estimate_densities": ("graph", "config", "n_jobs"),
+    "make_regular": ("d",),
+    "parse_atoms": ("text",),
+    "pattern_system": ("pattern",),
+    "regular_densities": ("d",),
+    "rho1_limit": ("d",),
+    "rho2_limit": ("d",),
+    "run_replica": ("graph", "config", "rng"),
+    "s_conditional": ("d",),
+    "solve_linear_ode": ("forcing", "lam", "y0"),
+    "target_probability": ("pattern",),
+}
+
+
+def _knobs(obj) -> tuple[str, ...]:
+    if dataclasses.is_dataclass(obj):
+        return tuple(f.name for f in dataclasses.fields(obj))
+    return tuple(inspect.signature(obj).parameters)
+
+
+def test_public_knobs_are_frozen():
+    # every public name but the version string and the error class has knobs
+    knobs = {
+        name: _knobs(obj)
+        for name in screendep.__all__
+        if callable(obj := getattr(screendep, name))
+        and not (isinstance(obj, type) and issubclass(obj, Exception))
+    }
+    assert knobs == PUBLIC_KNOBS
 
 
 def _third_party_imports(path: Path) -> set[str]:
