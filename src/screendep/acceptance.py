@@ -20,8 +20,8 @@ from .analytic import averaged_densities, regular_densities, z_kernel
 from .compare import check_gf_dominance, check_jensen, rho2_limit
 from .curves import DensityCurve
 from .degree import DegreeDistribution, make_regular
-from .deposit import SimConfig, _check_jobs, estimate_densities
-from .exppoly import ExpPoly
+from .deposit import SimConfig, estimate_densities
+from .exppoly import ExpPoly, _count
 from .graphs import RandomBallSource, build_cycle, build_regular_ball
 from .motives import pattern_system
 
@@ -170,11 +170,8 @@ class AcceptanceSuite:
 
     def __init__(self, seed: int = DEFAULT_SEED, n_jobs: int = 1):
         # checked here so that a bad argument fails before any criterion runs
-        if seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {seed}")
-        _check_jobs(n_jobs)
-        self.seed = seed
-        self.n_jobs = n_jobs
+        self.seed = _count(seed, "seed")
+        self.n_jobs = _count(n_jobs, "n_jobs", 1)
         self._cycle_curve: DensityCurve | None = None
 
     # -- shared runs ----------------------------------------------------

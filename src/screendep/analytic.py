@@ -20,13 +20,12 @@ from functools import cached_property
 from math import comb
 
 from .degree import DegreeDistribution
-from .exppoly import ExpPoly
+from .exppoly import ExpPoly, _count
 
 
 def s_conditional(d: int) -> ExpPoly:
     """S_d(t): P(one particle, at layer 1, on a neighbor | center empty)."""
-    if d < 2:
-        raise ValueError(f"degree must be >= 2, got {d}")
+    d = _count(d, "d", 2)
     # e^{-t}(1 - e^{-(d-1)t})/(d-1) = (e^{-t} - e^{-dt})/(d-1)
     return (ExpPoly.exp(1) - ExpPoly.exp(d)) / (d - 1)
 
@@ -60,8 +59,7 @@ def betas(d: int) -> tuple[Fraction, ...]:
     less (1 - e^{-(d+1)t})/(d+1); the layer-dominance proof bounds the
     same sum.
     """
-    if d < 2:
-        raise ValueError(f"degree must be >= 2, got {d}")
+    d = _count(d, "d", 2)
     scale = Fraction(d, d - 1) ** d
     return tuple(
         scale * comb(d, k) * Fraction(1, d ** k) / ((d - 1) * k + d + 1)
@@ -109,8 +107,7 @@ def regular_densities(d: int) -> RegularDensities:
 
     D2 is the alternating sum over betas(d).
     """
-    if d < 2:
-        raise ValueError(f"degree must be >= 2, got {d}")
+    d = _count(d, "d", 2)
     return RegularDensities(d=d, D1=_d1(d), D2=_d2(d), D3=_d3(d))
 
 

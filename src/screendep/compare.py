@@ -31,7 +31,7 @@ from fractions import Fraction
 
 from .analytic import averaged_densities, betas, regular_densities
 from .degree import DegreeDistribution
-from .exppoly import ExpPoly
+from .exppoly import ExpPoly, _count
 
 
 @dataclass(frozen=True)
@@ -73,10 +73,11 @@ def _status(checks: list[PointCheck]) -> str:
 
 
 def rho1_limit(d: int) -> Fraction:
-    return Fraction(1, d + 1)
+    return Fraction(1, _count(d, "d", 2) + 1)
 
 
 def rho2_limit(d: int) -> Fraction:
+    d = _count(d, "d", 2)
     return _rho2_limit(d, betas(d))
 
 
@@ -86,8 +87,7 @@ def _rho2_limit(d: int, bs: tuple[Fraction, ...]) -> Fraction:
 
 def check_layer_dominance(d_max: int = 50) -> ComparisonReport:
     """Certify rho_inf(1) > rho_inf(2) on the d-regular tree for d in 2..d_max."""
-    if d_max < 2:
-        raise ValueError(f"d_max must be >= 2, got {d_max}")
+    d_max = _count(d_max, "d_max", 2)
     checks = []
     for d in range(2, d_max + 1):
         bs = betas(d)
@@ -249,6 +249,7 @@ def check_jensen(d: int, s_dist: DegreeDistribution) -> ComparisonReport:
     certified for every t > 0 with no grid; the witness adds the exact
     limiting gain sum_k w_k/(k+1) - 1/(d+1), the Jensen gap of 1/(k+1).
     """
+    d = _count(d, "d", 2)
     if s_dist.mean() != d:
         raise ValueError(
             f"mean degree of {s_dist.label()} is {s_dist.mean()}, expected {d}"

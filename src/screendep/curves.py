@@ -20,6 +20,18 @@ from .exppoly import ExpPoly
 CSV_COLUMNS = "time,observable,mean,stderr,n"
 
 
+def _check_times(times: Sequence[float], what: str) -> None:
+    """The one time-grid rule: at least one time, finite, >= 0, strictly increasing."""
+    if not times:
+        raise ValueError(f"{what} has no time")
+    if not all(map(math.isfinite, times)):
+        raise ValueError(f"{what} has a non-finite time")
+    if min(times) < 0:
+        raise ValueError(f"{what} has a negative time")
+    if any(b <= a for a, b in zip(times, times[1:])):
+        raise ValueError(f"{what} is not strictly increasing")
+
+
 def _json_number(x: float) -> float | None:
     """x, or None for nan and inf, which JSON cannot write."""
     return x if math.isfinite(x) else None
@@ -41,10 +53,7 @@ class DensityCurve:
     meta: Mapping = field(default_factory=dict)
 
     def __post_init__(self):
-        if not self.times:
-            raise ValueError("curve needs at least one time")
-        if any(b >= a for a, b in zip(self.times[1:], self.times)):
-            raise ValueError(f"times must be strictly increasing: {self.times}")
+        _check_times(self.times, "curve time grid")
         if not self.series:
             raise ValueError("curve needs at least one observable")
         for name, points in self.series:
@@ -156,13 +165,11 @@ def parse_grid(text: str) -> tuple[float, ...]:
         values = tuple(float(p) for p in text.split(":" if ":" in text else ","))
     except ValueError:
         raise ValueError(f"grid {text!r} has an entry that is not a number") from None
-    if not all(math.isfinite(v) for v in values):
-        raise ValueError(f"grid {text!r} has a non-finite entry")
     if ":" in text:
         if len(values) != 3:
             raise ValueError(f"grid {text!r} must be start:step:stop")
         start, step, stop = values
-        if step <= 0 or stop < start:
+        if not (0 < step < math.inf and -math.inf < start <= stop < math.inf):
             raise ValueError(f"bad grid bounds in {text!r}")
         out = []
         k = 0
@@ -173,8 +180,5 @@ def parse_grid(text: str) -> tuple[float, ...]:
             out.append(round(t, 12))
             k += 1
         values = tuple(out)
-    if min(values) < 0:
-        raise ValueError(f"grid {text!r} has a negative time")
-    if any(b <= a for a, b in zip(values, values[1:])):
-        raise ValueError(f"grid {text!r} is not strictly increasing")
+    _check_times(values, f"grid {text!r}")
     return values

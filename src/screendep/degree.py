@@ -1,8 +1,8 @@
 """Finite-support degree distributions with exact rational weights.
 
 A distribution assigns positive rational weights to finitely many integer
-degrees >= 2.  Weights are exact end to end: a float weight is rejected,
-not rounded.
+degrees >= 2, each checked by exppoly._count and stored as an int.
+Weights are exact end to end: a float weight is rejected, not rounded.
 """
 
 from __future__ import annotations
@@ -10,6 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
+
+from .exppoly import _count
 
 WeightLike = Union[int, str, Fraction]
 
@@ -34,9 +36,8 @@ class DegreeDistribution:
     def __post_init__(self):
         if not self.atoms:
             raise ValueError("degree distribution needs at least one atom")
+        object.__setattr__(self, "atoms", tuple((_count(d, "degree", 2), w) for d, w in self.atoms))
         degrees = [d for d, _ in self.atoms]
-        if any(not isinstance(d, int) or d < 2 for d in degrees):
-            raise ValueError(f"degrees must be integers >= 2, got {degrees}")
         if sorted(set(degrees)) != degrees:
             raise ValueError(f"degrees must be strictly increasing, got {degrees}")
         for d, w in self.atoms:

@@ -61,7 +61,6 @@ first simulation runs.
 
 from __future__ import annotations
 
-import math
 import numbers
 import os
 from bisect import bisect_right
@@ -70,8 +69,9 @@ from itertools import zip_longest
 from typing import TYPE_CHECKING, Union
 
 from ._version import __version__
-from .curves import DensityCurve, SeriesPoint
-from .graphs import GraphInstance, RandomBallSource
+from .curves import DensityCurve, SeriesPoint, _check_times
+from .exppoly import _count
+from .graphs import GraphInstance, RandomBallSource, _generator
 
 if TYPE_CHECKING:
     import numpy as np
@@ -84,17 +84,13 @@ _ARRIVAL_STREAM = 1
 MAX_TRACKED_LAYERS = 32
 
 
-def _is_integer(x) -> bool:
-    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
-
-
 @dataclass(frozen=True)
 class SimConfig:
     """Run parameters for a deposition estimate.
 
     sample_times must be positive, finite and strictly increasing; a run
     ends at the last of them, its horizon, since a replica's work does not
-    depend on how long it runs.
+    depend on how long it runs.  replicas and layers are ints >= 1, seed >= 0.
     layers lists the single-layer densities to report; patterns are
     top-down binary words, as strings, over the lowest len(pattern) layers.
     measure selects which vertices are averaged: the graph's interior or
@@ -114,27 +110,19 @@ class SimConfig:
             raise TypeError(f"sample times must be real numbers, got {times!r}")
         if not all(isinstance(p, str) for p in patterns):
             raise TypeError(f"patterns must be strings, got {patterns!r}")
-        object.__setattr__(self, "sample_times", tuple(float(t) for t in times))
+        times = tuple(float(t) for t in times)
+        _check_times(times, f"sample time grid {times}")
+        if times[0] == 0:
+            raise ValueError(f"sample times must be positive, got {times}")
+        object.__setattr__(self, "sample_times", times)
         object.__setattr__(self, "patterns", patterns)
-        if not all(_is_integer(k) for k in self.layers):
-            raise ValueError(f"layers must be integers, got {self.layers!r}")
-        object.__setattr__(self, "layers", tuple(int(k) for k in self.layers))
+        object.__setattr__(self, "layers", tuple(_count(k, "layers", 1) for k in self.layers))
+        object.__setattr__(self, "replicas", _count(self.replicas, "replicas", 1))
+        object.__setattr__(self, "seed", _count(self.seed, "seed"))
         if not all(p and set(p) <= {"0", "1"} for p in patterns):
             raise ValueError(f"patterns must be nonempty binary words, got {patterns!r}")
-        if not self.sample_times:
-            raise ValueError("at least one sample time is required")
-        if not all(math.isfinite(t) and t > 0 for t in self.sample_times):
-            raise ValueError(f"sample times must be positive and finite: {self.sample_times}")
-        if any(b >= a for a, b in zip(self.sample_times[1:], self.sample_times)):
-            raise ValueError(f"sample times must be strictly increasing: {self.sample_times}")
-        if not (_is_integer(self.replicas) and self.replicas >= 1):
-            raise ValueError(f"replicas must be an integer >= 1, got {self.replicas!r}")
-        if not (_is_integer(self.seed) and self.seed >= 0):
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         if not self.layers and not self.patterns:
             raise ValueError("nothing to observe: layers and patterns are both empty")
-        if any(k < 1 for k in self.layers):
-            raise ValueError(f"layers must be >= 1, got {self.layers}")
         if len(set(self.layers)) < len(self.layers):
             raise ValueError(f"layers must not repeat, got {self.layers}")
         if len(set(self.patterns)) < len(self.patterns):
@@ -290,10 +278,7 @@ def run_replica(
     docstring).  The draw depends on the cone alone, not on the rest of
     the graph or on the sample times.
     """
-    import numpy as np
-
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
+    rng = _generator(rng)
     measured, table, index = _replica_setup(graph, config)
     arrivals = _first_arrivals(table.shape[1], config.depth, rng)
     return ReplicaSnapshot(
@@ -335,14 +320,6 @@ def _replica_task(args) -> np.ndarray:
     return np.stack(stats)
 
 
-def _check_jobs(n_jobs) -> None:
-    """Raise unless n_jobs is a worker count: an integer >= 1, not a bool."""
-    if not _is_integer(n_jobs):
-        raise TypeError(f"n_jobs must be an int, got {n_jobs!r}")
-    if n_jobs < 1:
-        raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
-
-
 def _usable_cpus() -> int:
     """The CPUs this process may run on."""
     if hasattr(os, "sched_getaffinity"):
@@ -377,7 +354,7 @@ def estimate_densities(
     """
     import numpy as np
 
-    _check_jobs(n_jobs)
+    n_jobs = _count(n_jobs, "n_jobs", 1)
     names = observable_names(config)
     reps = config.replicas
     if isinstance(graph, GraphInstance):

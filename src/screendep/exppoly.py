@@ -8,16 +8,18 @@ of the d + 1 clocks of a vertex and its neighbors has rung.  The ring is
 closed under addition, multiplication, differentiation, integration from 0,
 and resolvents of the linear ODEs y' = -lam * y + forcing that the hierarchy
 of density equations produces.  Each slot has one exact form: rates and
-powers are ints, coefficients are fractions.Fraction, and input of another
-type is a TypeError, never coerced.  A product is computed on integer
-numerators over common coefficient denominators and turned back into one
-Fraction per term.  Every result passes through one canonicalizer, so derived
-closed forms can be compared term by term with no floating-point tolerance.
+powers are ints, coefficients are fractions.Fraction.  An exact integer of
+any type is stored as an int, and nothing inexact is coerced (_count, the
+package's one integer rule).  A product is computed on integer numerators
+over common coefficient denominators and turned back into one Fraction per
+term.  Every result passes through one canonicalizer, so derived closed
+forms can be compared term by term with no floating-point tolerance.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from fractions import Fraction
 from operator import itemgetter
 from typing import Iterable, Union
@@ -47,12 +49,15 @@ def _frac(x: Rational) -> Fraction:
     raise TypeError(f"expected an int or a Fraction, got {x!r}")
 
 
-def _count(x: int, what: str) -> int:
-    """A rate or power: an int >= 0, not a bool."""
-    if not isinstance(x, int) or isinstance(x, bool):
-        raise TypeError(f"{what} must be an int, got {x!r}")
-    if x < 0:
-        raise ValueError(f"{what} must be >= 0, got {x!r}")
+def _count(x: int, what: str, least: int = 0) -> int:
+    """x as an int >= least, the one rule for every integer argument: any
+    numbers.Integral but a bool (numpy's too); a float or a string never."""
+    if type(x) is not int:
+        if not isinstance(x, numbers.Integral) or isinstance(x, bool):
+            raise TypeError(f"{what} must be an int, got {x!r}")
+        x = int(x)
+    if x < least:
+        raise ValueError(f"{what} must be >= {least}, got {x!r}")
     return x
 
 
@@ -96,9 +101,10 @@ class ExpPoly:
     def __init__(self, terms: Iterable[tuple[int, int, Rational]] = ()):
         """Build from an iterable of (rate, power, coeff) triples.
 
-        Rates and powers are ints >= 0 and coefficients are ints or
-        Fractions; any other type is a TypeError and a negative rate or
-        power a ValueError.  Triples may repeat and appear in any order.
+        Rates and powers are integers >= 0, stored as ints, and
+        coefficients are ints or Fractions; any other type is a TypeError
+        and a negative rate or power a ValueError.  Triples may repeat and
+        appear in any order.
         """
         acc: dict[tuple[int, int], Fraction] = {}
         for a, k, c in terms:

@@ -4,15 +4,15 @@ Three families: cycles (the periodic stand-in for the doubly infinite
 line), radius-R balls of d-regular trees, and radius-R balls of random
 trees whose vertex degrees are drawn from a DegreeDistribution.  Balls
 carry a root, per-vertex depths and an interior set (depth <= R - buffer)
-so measurements can stay away from the leaf boundary.  Every size (n, d,
-radius, buffer, reach) is an int: a bool or a float is a TypeError.
+so measurements can stay away from the leaf boundary.  Every size, vertex
+id and integer seed is an int by exppoly._count, the one integer rule.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain, islice, repeat
 from typing import TYPE_CHECKING, Callable
 
 from .degree import DegreeDistribution
@@ -20,6 +20,23 @@ from .exppoly import _count
 
 if TYPE_CHECKING:
     import numpy as np
+
+
+def _generator(rng) -> np.random.Generator:
+    """rng as a numpy Generator; an integer seed is checked as one first."""
+    import numpy as np
+
+    if rng is None or isinstance(rng, (np.random.Generator, np.random.SeedSequence)):
+        return np.random.default_rng(rng)
+    return np.random.default_rng(_count(rng, "rng"))
+
+
+def _vertex_ids(ids, n: int, what: str) -> tuple[int, ...]:
+    """ids as a tuple of ints in 0..n-1, each by the one integer rule."""
+    ids = tuple(map(_count, ids, repeat(what)))
+    if max(ids, default=-1) >= n:
+        raise ValueError(f"{what} must be < {n}, got {max(ids)}")
+    return ids
 
 
 @dataclass(frozen=True)
@@ -33,6 +50,8 @@ class GraphInstance:
     vertex is more than one level deeper.  The simulator relies on this to
     find a light cone as a prefix of ids, so all three are checked.
     interior holds the vertex ids on which observables are averaged.
+    interior, root and each neighbor id of a graph without depth are ints
+    in 0..n-1; a ball's neighbor ids, built per replica, meet the depth rule.
     """
 
     kind: str
@@ -48,13 +67,14 @@ class GraphInstance:
             raise ValueError("graph must have at least one vertex")
         if not self.interior:
             raise ValueError("interior vertex set is empty")
-        for v in self.interior:
-            if not 0 <= v < n:
-                raise ValueError(f"interior vertex {v} out of range")
-        if self.root is not None and not 0 <= self.root < n:
-            raise ValueError(f"root {self.root} out of range")
+        object.__setattr__(self, "interior", _vertex_ids(self.interior, n, "interior vertex"))
+        if self.root is not None:
+            object.__setattr__(self, "root", _vertex_ids((self.root,), n, "root")[0])
         depth = self.depth
         if depth is None:
+            ids = iter(_vertex_ids(chain.from_iterable(self.neighbors), n, "neighbor"))
+            rows = tuple(tuple(islice(ids, len(nb))) for nb in self.neighbors)
+            object.__setattr__(self, "neighbors", rows)
             return
         if len(depth) != n:
             raise ValueError(f"depth has {len(depth)} entries for {n} vertices")
@@ -80,8 +100,7 @@ def build_cycle(n: int) -> GraphInstance:
     """Cycle on n >= 3 vertices, the smallest simple cycle; every vertex
     is interior.  How large a cycle a run needs depends on the layers it
     reads, so run_replica checks that (n >= 2L + 1)."""
-    if _count(n, "n") < 3:
-        raise ValueError(f"cycle needs n >= 3, got {n}")
+    n = _count(n, "n", 3)
     neighbors = tuple(((v - 1) % n, (v + 1) % n) for v in range(n))
     return GraphInstance(
         kind="cycle",
@@ -94,9 +113,8 @@ def build_cycle(n: int) -> GraphInstance:
 def _ball_label(kind: str, params: str, radius: int, buffer: int) -> str:
     """The label of a ball, after checking that radius and buffer are ints
     and leave an interior."""
-    if _count(radius, "radius") < 1:
-        raise ValueError(f"radius must be >= 1, got {radius}")
-    if _count(buffer, "buffer") >= radius:
+    radius, buffer = _count(radius, "radius", 1), _count(buffer, "buffer")
+    if buffer >= radius:
         raise ValueError(
             f"buffer {buffer} must be < radius {radius} to leave an interior"
         )
@@ -116,8 +134,8 @@ def _grow_ball(
     are numbered.  The label names the ball of radius `radius`, of which
     this is the prefix of depth <= reach."""
     label = _ball_label(kind, params, radius, buffer)
-    if not 1 <= _count(reach, "reach") <= radius:
-        raise ValueError(f"reach must be in 1..radius {radius}, got {reach}")
+    if _count(reach, "reach", 1) > radius:
+        raise ValueError(f"reach must be <= radius {radius}, got {reach}")
     adj: list[list[int]] = [[]]
     depth = [0]
     frontier = [0]
@@ -155,8 +173,7 @@ def build_regular_ball(
     label still names the ball of radius `radius`.  Interior = depth <=
     radius - buffer among the vertices built.
     """
-    if _count(d, "d") < 2:
-        raise ValueError(f"regular tree needs d >= 2, got {d}")
+    d = _count(d, "d", 2)
     return _grow_ball(
         "regular_ball",
         f"d={d}",
@@ -181,10 +198,7 @@ def build_random_ball(
     degrees are drawn in that order, so the instance is a deterministic
     function of the seed.
     """
-    import numpy as np
-
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
+    rng = _generator(rng)
     degs = [d for d, _ in dist.atoms]
     cum = list(accumulate(float(w) for _, w in dist.atoms))
     cum[-1] = 1.0
@@ -210,6 +224,8 @@ class RandomBallSource:
     buffer: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "radius", _count(self.radius, "radius", 1))
+        object.__setattr__(self, "buffer", _count(self.buffer, "buffer"))
         self.label  # raises on a ball without an interior
 
     def build(self, rng: np.random.Generator | np.random.SeedSequence | int | None) -> GraphInstance:

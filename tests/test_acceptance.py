@@ -113,3 +113,12 @@ def test_criterion_6_draws_only_the_root_light_cone():
 def test_suite_checks_n_jobs(n_jobs, error):
     with pytest.raises(error, match="n_jobs"):
         AcceptanceSuite(n_jobs=n_jobs)
+
+
+@pytest.mark.parametrize(
+    "seed, error", [(1.5, TypeError), (True, TypeError), ("7", TypeError), (-1, ValueError)]
+)
+def test_suite_checks_seed(seed, error):
+    # refused when the suite is built, so before any criterion runs
+    with pytest.raises(error, match="seed"):
+        AcceptanceSuite(seed=seed)

@@ -50,6 +50,12 @@ def test_curve_validation():
         DensityCurve(times=(1.0,), series=())
     with pytest.raises(ValueError):
         DensityCurve(times=(1.0,), series=(("a", (SeriesPoint(0, 0, 1),) * 2),))
+    # the time-grid rule of parse_grid and SimConfig: finite, >= 0, increasing
+    for times in ((math.nan, 1.0), (-1.0, math.inf)):
+        with pytest.raises(ValueError, match="curve time grid"):
+            DensityCurve(times=times, series=(("a", (SeriesPoint(0, 0, 1),) * 2),))
+    with pytest.raises(ValueError, match="non-finite"):
+        DensityCurve.from_csv_text(f"{CSV_COLUMNS}\nnan,layer:1,0.25,0.01,40\n")
 
 
 def test_curve_accessors():
@@ -336,7 +342,7 @@ def test_simulate_usage_errors(capsys, argv):
     [
         (("--n", "3", "--layers", "1"), 0, ""),
         (("--n", "4"), 2, "cycle(n=4) is too small for layer 2: needs n >= 5"),
-        (("--n", "2", "--layers", "1"), 2, "cycle needs n >= 3, got 2"),
+        (("--n", "2", "--layers", "1"), 2, "n must be >= 3, got 2"),
     ],
     ids=["triangle_layer1", "square_layer2", "two_vertices"],
 )

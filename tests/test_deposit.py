@@ -115,12 +115,14 @@ def test_reach_is_the_deepest_level_a_measured_cone_reads(radius, buffer, observ
         {"sample_times": (math.inf,)},
         {"sample_times": (1.0, math.nan)},
         {"sample_times": (math.nan,)},
-        {"sample_times": (1.0,), "seed": 1.5},
-        {"sample_times": (1.0,), "seed": True},
-        {"sample_times": (1.0,), "layers": (1.7, 2)},
-        {"sample_times": (1.0,), "layers": (True,)},
-        {"sample_times": (1.0,), "replicas": 2.5},
-        {"sample_times": (1.0,), "replicas": "3"},
+        # a numpy integer meets the same bounds as an int
+        {"sample_times": (1.0,), "seed": np.int64(-1)},
+        {"sample_times": (1.0,), "layers": (np.int64(0),)},
+        {"sample_times": (1.0,), "replicas": np.int64(0)},
+        # the one time-grid rule, with sample times also > 0
+        {"sample_times": (0.0,)},
+        {"sample_times": (1.0, -1.0)},
+        {"sample_times": (-1.0, math.inf)},
         {"sample_times": (1.0,), "layers": (2, 2)},
         {"sample_times": (1.0,), "layers": (1, 2, 1)},
         {"sample_times": (1.0,), "patterns": ("11", "11")},
@@ -155,6 +157,13 @@ def test_config_names_the_repeated_observable(kwargs, named):
         {"sample_times": ("1", "2")},
         {"sample_times": (True,)},
         {"sample_times": (1.0, "2")},
+        # a seed, a layer and a replica count are ints: nothing is coerced
+        {"seed": 1.5},
+        {"seed": True},
+        {"layers": (1.7, 2)},
+        {"layers": (True,)},
+        {"replicas": 2.5},
+        {"replicas": "3"},
     ],
 )
 def test_config_refuses_a_wrong_type(kwargs):
@@ -524,7 +533,7 @@ def test_measured_override():
     assert snap.measured == (3, 7)
     assert snap.masks.shape == (1, 2)
     for bad in (-1, 50):
-        with pytest.raises(ValueError, match="out of range"):
+        with pytest.raises(ValueError, match="interior vertex must be"):
             replace(g, interior=(3, bad))
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -38,7 +39,7 @@ def test_cycle_structure():
 
 def test_cycle_minimum_size():
     # the smallest simple cycle; how large a run needs is run_replica's rule
-    with pytest.raises(ValueError, match="n >= 3"):
+    with pytest.raises(ValueError, match="n must be >= 3"):
         build_cycle(2)
     assert build_cycle(3).neighbors == ((2, 1), (0, 2), (1, 0))
 
@@ -172,6 +173,25 @@ def test_depth_is_validated(neighbors, root, depth, message):
     with pytest.raises(ValueError, match=message):
         GraphInstance(kind="x", neighbors=neighbors, interior=(0,), root=root, depth=depth)
     assert GraphInstance(kind="x", neighbors=PATH3, interior=(0,), root=0, depth=(0, 1, 2))
+
+
+@pytest.mark.parametrize(
+    "change, error",
+    [
+        ({"interior": (3.5,)}, TypeError),
+        ({"interior": (True,)}, TypeError),
+        ({"root": 2}, ValueError),
+        ({"neighbors": ((1,), (7,))}, ValueError),
+        ({"neighbors": ((1,), (-1,))}, ValueError),
+    ],
+    ids=["interior_float", "interior_bool", "root_past_n", "neighbor_past_n", "neighbor_negative"],
+)
+def test_vertex_ids_are_ints_in_range(change, error):
+    # a float or bool id is not read as a vertex, and a neighbor id outside
+    # the graph does not become the simulator's never-reaching sentinel
+    pair = GraphInstance(kind="x", neighbors=((1,), (0,)), interior=(0, 1))
+    with pytest.raises(error):
+        replace(pair, **change)
 
 
 TWO_THREE = DegreeDistribution.from_pairs({2: "1/3", 3: "2/3"})
