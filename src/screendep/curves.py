@@ -115,24 +115,20 @@ class DensityCurve:
             lines = lines[1:]
         if not lines or lines[0] != CSV_COLUMNS:
             raise ValueError(f"expected header {CSV_COLUMNS!r}")
-        per_obs: dict[str, dict[float, SeriesPoint]] = {}
-        order: list[str] = []
-        times: list[float] = []
+        times: dict[str, list[float]] = {}
+        points: dict[str, list[SeriesPoint]] = {}
         for ln in lines[1:]:
             t_s, name, mean_s, stderr_s, n_s = ln.split(",")
-            t = float(t_s)
-            if name not in per_obs:
-                per_obs[name] = {}
-                order.append(name)
             n: Union[int, str] = int(n_s) if n_s.isdigit() else n_s
-            per_obs[name][t] = SeriesPoint(float(mean_s), float(stderr_s), n)
-            if t not in times:
-                times.append(t)
-        times.sort()
-        series = tuple(
-            (name, tuple(per_obs[name][t] for t in times)) for name in order
-        )
-        return cls(times=tuple(times), series=series, meta=meta)
+            times.setdefault(name, []).append(float(t_s))
+            points.setdefault(name, []).append(SeriesPoint(float(mean_s), float(stderr_s), n))
+        grid = next(iter(times.values()), [])  # the first observable's times, in file order
+        _check_times(grid, "curve time grid")
+        for name, ts in times.items():
+            if ts != grid:
+                raise ValueError(f"observable {name!r} does not list the times {grid}")
+        series = tuple((name, tuple(p)) for name, p in points.items())
+        return cls(times=tuple(grid), series=series, meta=meta)
 
 
 def curve_from_exact(

@@ -256,11 +256,11 @@ class ExpPoly:
     # -- evaluation ---------------------------------------------------
 
     def eval(self, t: float) -> float:
-        """Evaluate at a float time (t >= 0)."""
+        """Evaluate at a finite float time t >= 0."""
         return self.eval_grid((t,))[0]
 
     def eval_grid(self, times: Iterable[float]) -> list[float]:
-        """Evaluate at each float time (all >= 0), converting coefficients once.
+        """Evaluate at each finite float time t >= 0, converting coefficients once.
 
         Each value is summed term by term as c * t^k * exp(-a t) in float
         arithmetic, the same operations in the same order for every grid.
@@ -268,8 +268,8 @@ class ExpPoly:
         terms = [(float(c), k, -float(a)) for a, k, c in self._terms]
         out = []
         for t in times:
-            if t < 0:
-                raise ValueError("ExpPoly is defined for t >= 0")
+            if not 0 <= t < math.inf:
+                raise ValueError(f"ExpPoly needs a finite t >= 0, got {t}; see limit_at_infinity")
             total = 0.0
             for c, k, neg_a in terms:
                 total += c * (t ** k) * math.exp(neg_a * t)

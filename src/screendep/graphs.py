@@ -3,15 +3,15 @@
 Three families: cycles (the periodic stand-in for the doubly infinite
 line), radius-R balls of d-regular trees, and radius-R balls of random
 trees whose vertex degrees are drawn from a DegreeDistribution.  Balls
-carry a root, per-vertex depths and an interior set (depth <= R - buffer)
-so measurements can stay away from the leaf boundary.  Every size, vertex
-id and integer seed is an int by exppoly._count, the one integer rule.
+carry a root, from which their depths derive, and an interior set (depth
+<= R - buffer) so measurements can stay away from the leaf boundary.
+Every size, vertex id and integer seed is an int by exppoly._count.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import accumulate, chain, islice, repeat
 from typing import TYPE_CHECKING, Callable
 
@@ -39,27 +39,52 @@ def _vertex_ids(ids, n: int, what: str) -> tuple[int, ...]:
     return ids
 
 
+def _depths(neighbors: tuple[tuple[int, ...], ...], root: int | None) -> tuple[int, ...]:
+    """Each vertex's distance from root, in one pass over the ids that also
+    checks the edge rule: each vertex is reached from an earlier one and
+    depth never decreases with the id, so the ids are in breadth-first
+    order.  Without a root every vertex counts as reached, at depth 0."""
+    n = len(neighbors)
+    depth = [-1] * n if root is not None else [0] * n
+    depth[root or 0] = 0
+    for v, nb in enumerate(neighbors):
+        below = depth[v] + 1
+        if not below:
+            raise ValueError(f"vertex {v} is not reached from root {root} by the ids before it")
+        for u in nb:
+            if not 0 <= u < n or u == v or v not in neighbors[u]:
+                raise ValueError(
+                    f"neighbor must be in 0..{n - 1}, got {u!r}" if not 0 <= u < n
+                    else f"vertex {v} lists itself as a neighbor" if u == v
+                    else f"vertex {v} lists {u} as a neighbor, but {u} does not list {v}")
+            if depth[u] < 0:
+                depth[u] = below
+    if depth != sorted(depth):
+        v = next(v for v in range(1, n) if depth[v] < depth[v - 1])
+        raise ValueError(f"vertex {v} follows a deeper one: number the ids breadth-first")
+    return tuple(depth)
+
+
 @dataclass(frozen=True)
 class GraphInstance:
     """Immutable adjacency view of one finite graph.
 
-    neighbors[v] lists the neighbors of vertex v.  root and depth are None
-    for graphs without a distinguished center (cycles).  depth[v] is the
-    distance from the root, with vertices numbered breadth-first: the root
-    is at depth 0, depths never decrease with the id, and no neighbor of a
-    vertex is more than one level deeper.  The simulator relies on this to
-    find a light cone as a prefix of ids, so all three are checked.
-    interior holds the vertex ids on which observables are averaged.
-    interior, root and each neighbor id of a graph without depth are ints
-    in 0..n-1; a ball's neighbor ids, built per replica, meet the depth rule.
+    Given: neighbors[v] lists the neighbors of vertex v, each edge at both
+    ends and none from a vertex to itself; interior holds the vertex ids
+    on which observables are averaged; root is a ball's center, None for
+    graphs without one (cycles).  Every id is in 0..n-1; interior, root and
+    a rootless graph's neighbor ids are ints by the one integer rule.
+    Derived: depth[v] is the distance from the root, None without one.  A
+    rooted graph is connected and numbered breadth-first from its root, so
+    depth never decreases with the id and a light cone is a prefix of ids.
     """
 
     kind: str
     neighbors: tuple[tuple[int, ...], ...]
     interior: tuple[int, ...]
     root: int | None = None
-    depth: tuple[int, ...] | None = None
     label: str = ""
+    depth: tuple[int, ...] | None = field(init=False, default=None)
 
     def __post_init__(self):
         n = len(self.neighbors)
@@ -68,28 +93,14 @@ class GraphInstance:
         if not self.interior:
             raise ValueError("interior vertex set is empty")
         object.__setattr__(self, "interior", _vertex_ids(self.interior, n, "interior vertex"))
-        if self.root is not None:
-            object.__setattr__(self, "root", _vertex_ids((self.root,), n, "root")[0])
-        depth = self.depth
-        if depth is None:
+        if self.root is None:
             ids = iter(_vertex_ids(chain.from_iterable(self.neighbors), n, "neighbor"))
             rows = tuple(tuple(islice(ids, len(nb))) for nb in self.neighbors)
             object.__setattr__(self, "neighbors", rows)
-            return
-        if len(depth) != n:
-            raise ValueError(f"depth has {len(depth)} entries for {n} vertices")
-        if self.root is None:
-            raise ValueError("depth needs a root")
-        if depth[self.root] != 0:
-            raise ValueError(f"root {self.root} has depth {depth[self.root]}, not 0")
-        if list(depth) != sorted(depth):
-            raise ValueError("depth must be nondecreasing: vertices are numbered breadth-first")
-        for dv, nb in zip(depth, self.neighbors):
-            for u in nb:
-                if depth[u] > dv + 1:
-                    raise ValueError(
-                        f"vertex {u} at depth {depth[u]} neighbors a vertex at depth {dv}"
-                    )
+            _depths(rows, None)
+        else:
+            object.__setattr__(self, "root", _vertex_ids((self.root,), n, "root")[0])
+            object.__setattr__(self, "depth", _depths(self.neighbors, self.root))
 
     @property
     def vertex_count(self) -> int:
@@ -137,25 +148,18 @@ def _grow_ball(
     if _count(reach, "reach", 1) > radius:
         raise ValueError(f"reach must be <= radius {radius}, got {reach}")
     adj: list[list[int]] = [[]]
-    depth = [0]
-    frontier = [0]
-    for dep in range(reach):
-        next_frontier = []
-        for v in frontier:
+    sizes = [0, 1]  # sizes[r + 1]: how many vertices lie at depth <= r
+    for _ in range(reach):
+        for v in range(sizes[-2], sizes[-1]):
             for _ in range(child_count(v)):
-                w = len(adj)
+                adj[v].append(len(adj))
                 adj.append([v])
-                adj[v].append(w)
-                depth.append(dep + 1)
-                next_frontier.append(w)
-        frontier = next_frontier
-    cut = radius - buffer
+        sizes.append(len(adj))
     return GraphInstance(
         kind=kind,
         neighbors=tuple(tuple(nb) for nb in adj),
-        interior=tuple(v for v, dep in enumerate(depth) if dep <= cut),
+        interior=tuple(range(sizes[min(radius - buffer, reach) + 1])),
         root=0,
-        depth=tuple(depth),
         label=label,
     )
 

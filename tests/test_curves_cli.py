@@ -56,6 +56,14 @@ def test_curve_validation():
             DensityCurve(times=times, series=(("a", (SeriesPoint(0, 0, 1),) * 2),))
     with pytest.raises(ValueError, match="non-finite"):
         DensityCurve.from_csv_text(f"{CSV_COLUMNS}\nnan,layer:1,0.25,0.01,40\n")
+    # with two observables, each time is read once per row: nan meets the
+    # time rule, and every observable lists the first one's times
+    two = "nan,layer:1,0.25,0.01,40\nnan,layer:2,0.5,0.01,40\n"
+    with pytest.raises(ValueError, match="non-finite"):
+        DensityCurve.from_csv_text(f"{CSV_COLUMNS}\n{two}")
+    ragged = "1.0,layer:1,0.2,0.01,40\n2.0,layer:1,0.3,0.01,40\n1.0,layer:2,0.1,0.01,40\n"
+    with pytest.raises(ValueError, match="observable 'layer:2' does not list the times"):
+        DensityCurve.from_csv_text(f"{CSV_COLUMNS}\n{ragged}")
 
 
 def test_curve_accessors():

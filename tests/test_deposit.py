@@ -403,7 +403,6 @@ def test_ball_cut_to_its_light_cone_gives_the_same_masks(measure, observed, cone
         neighbors=tuple(tuple(u for u in nb if u < m) for nb in ball.neighbors[:m]),
         interior=tuple(v for v in ball.interior if v < m),
         root=ball.root,
-        depth=ball.depth[:m],
     )
     for seed in range(20):
         full, short = run_replica(ball, cfg, rng=seed), run_replica(cut, cfg, rng=seed)

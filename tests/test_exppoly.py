@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from screendep import exppoly
+from screendep import exppoly, regular_densities, rho2_limit
 from screendep.exppoly import (
     DivergentLimitError,
     ExpPoly,
@@ -275,6 +275,17 @@ def test_eval_matches_math():
         assert f.eval(t) == pytest.approx(expected, abs=1e-15)
     with pytest.raises(ValueError):
         f.eval(-0.1)
+
+
+def test_eval_refuses_a_non_finite_time():
+    # inf * 0 in the t*exp(-3t) term would read nan; the limit is exact
+    rho2 = regular_densities(2).rho2
+    for t in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite t >= 0.*limit_at_infinity"):
+            rho2.eval(t)
+        with pytest.raises(ValueError, match="finite t >= 0"):
+            rho2.eval_grid([1.0, t])
+    assert rho2.limit_at_infinity() == rho2_limit(2)
 
 
 times = st.floats(min_value=0, max_value=30, allow_nan=False)

@@ -17,6 +17,9 @@ from screendep.graphs import (
 )
 
 
+TWO_THREE = DegreeDistribution.from_pairs({2: "1/3", 3: "2/3"})
+
+
 def _edge_count(g: GraphInstance) -> int:
     return sum(len(nb) for nb in g.neighbors) // 2
 
@@ -154,25 +157,61 @@ PATH3 = ((1,), (0, 2), (1,))
 
 
 @pytest.mark.parametrize(
-    "neighbors, root, depth, message",
+    "neighbors, root, message",
     [
-        (((1,), (0,)), 0, (5,), "1 entries for 2 vertices"),
-        (PATH3, None, (0, 1, 2), "needs a root"),
-        (PATH3, 1, (0, 1, 2), "root 1 has depth 1"),
-        (PATH3, 0, (0, 2, 1), "nondecreasing"),
-        (((1, 2), (0,), (0,)), 0, (0, 1, 2), "vertex 2 at depth 2 neighbors a vertex at depth 0"),
+        (((1,), (0,), ()), 0, "vertex 2 is not reached from root 0"),
+        (((1, 3), (0, 2), (1,), (0,)), 0, "vertex 3 follows a deeper one"),
+        (((1,), (0,)), 1, "vertex 0 is not reached from root 1"),
+        (((1,), (0, -1)), 0, r"neighbor must be in 0\.\.1, got -1"),
+        (((1,), (0, 2)), 0, r"neighbor must be in 0\.\.1, got 2"),
+        (((0, 1), (0,)), None, "vertex 0 lists itself as a neighbor"),
+        (((0, 1), (0,)), 0, "vertex 0 lists itself as a neighbor"),
+        (((1,), ()), None, "vertex 0 lists 1 as a neighbor, but 1 does not list 0"),
+        (((1,), ()), 0, "vertex 0 lists 1 as a neighbor, but 1 does not list 0"),
     ],
     ids=[
-        "one_entry_per_vertex", "root_required", "root_at_depth_0", "breadth_first",
-        "neighbors_one_level_apart",
+        "unreachable", "breadth_first", "root_at_depth_0", "rooted_neighbor_negative",
+        "rooted_neighbor_past_n", "self_loop", "rooted_self_loop", "one_sided_edge",
+        "rooted_one_sided_edge",
     ],
 )
-def test_depth_is_validated(neighbors, root, depth, message):
-    # the simulator reads a light cone as a prefix of the vertex ids, which
-    # holds only for distances from a root numbered breadth-first
+def test_depth_is_validated(neighbors, root, message):
+    # the depth is derived from the root and the edges, and the simulator
+    # reads a light cone as a prefix of the ids, which holds only for a
+    # connected graph numbered breadth-first from its root; every graph
+    # lists each edge at both ends and no vertex as its own neighbor
     with pytest.raises(ValueError, match=message):
-        GraphInstance(kind="x", neighbors=neighbors, interior=(0,), root=root, depth=depth)
-    assert GraphInstance(kind="x", neighbors=PATH3, interior=(0,), root=0, depth=(0, 1, 2))
+        GraphInstance(kind="x", neighbors=neighbors, interior=(0,), root=root)
+    assert GraphInstance(kind="x", neighbors=PATH3, interior=(0,), root=0).depth == (0, 1, 2)
+    assert GraphInstance(kind="x", neighbors=PATH3, interior=(0,)).depth is None
+    with pytest.raises(TypeError, match="depth"):
+        GraphInstance(kind="x", neighbors=PATH3, interior=(0,), root=0, depth=(0, 1, 2))
+
+
+def _grown_levels(g: GraphInstance) -> tuple[int, ...]:
+    """The level at which the ball grower created each vertex: it lists a
+    vertex's parent first, one level up."""
+    levels = [0]
+    for nb in g.neighbors[1:]:
+        levels.append(levels[nb[0]] + 1)
+    return tuple(levels)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: build_regular_ball(3, 7, 4),
+        lambda: build_regular_ball(3, 7, 4, reach=5),
+        lambda: build_regular_ball(2, 5, 1, reach=2),
+        lambda: build_random_ball(TWO_THREE, 8, 2, rng=1),
+        lambda: build_random_ball(make_regular(4), 3, rng=0),
+    ],
+    ids=["regular", "regular_reach", "path_reach", "random", "random_point_mass"],
+)
+def test_ball_depth_is_the_level_it_was_grown_at(build):
+    g = build()
+    assert g.depth == _grown_levels(g)
+    assert build_cycle(5).depth is None
 
 
 @pytest.mark.parametrize(
@@ -192,9 +231,6 @@ def test_vertex_ids_are_ints_in_range(change, error):
     pair = GraphInstance(kind="x", neighbors=((1,), (0,)), interior=(0, 1))
     with pytest.raises(error):
         replace(pair, **change)
-
-
-TWO_THREE = DegreeDistribution.from_pairs({2: "1/3", 3: "2/3"})
 
 
 def test_random_ball_is_a_tree_with_drawn_degrees():

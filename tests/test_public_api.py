@@ -62,7 +62,7 @@ PUBLIC_KNOBS = {
     "DegreeDistribution": ("atoms",),
     "DensityCurve": ("times", "series", "meta"),
     "ExpPoly": ("terms",),
-    "GraphInstance": ("kind", "neighbors", "interior", "root", "depth", "label"),
+    "GraphInstance": ("kind", "neighbors", "interior", "root", "label"),
     "Motive": ("name", "description", "definition", "closed_form"),
     "RandomBallSource": ("dist", "radius", "buffer"),
     "RegularDensities": ("d", "D1", "D2", "D3"),
@@ -107,7 +107,7 @@ PUBLIC_INTEGERS = [
     ("ExpPoly", "terms", 0, lambda x: ExpPoly([(x, 0, 1)]), "decay rate"),
     ("ExpPoly", "terms", 0, lambda x: ExpPoly([(0, x, 1)]), "power"),
     ("GraphInstance", "interior", 0, lambda x: _pair(interior=(x,)), "interior vertex"),
-    ("GraphInstance", "neighbors", 0, lambda x: _pair(neighbors=((x,), (0,))), "neighbor"),
+    ("GraphInstance", "neighbors", 0, lambda x: _pair(neighbors=((1,), (x,))), "neighbor"),
     ("GraphInstance", "root", 0, lambda x: _pair(root=x), None),
     ("RandomBallSource", "radius", 1, lambda x: RandomBallSource(make_regular(2), x), None),
     ("RandomBallSource", "buffer", 0, lambda x: RandomBallSource(make_regular(2), 2, x), None),
@@ -137,8 +137,6 @@ PUBLIC_INTEGERS = [
 
 # The int-annotated knobs that are not checked value by value, and why.
 NOT_CHECKED_BY_VALUE = {
-    ("GraphInstance", "depth"): "checked as a breadth-first numbering, with a ball's "
-    "neighbor ids: a random ball is built once per replica",
     ("RegularDensities", "d"): "a result, filled by regular_densities",
     ("ReplicaSnapshot", "measured"): "a result, filled by run_replica",
     ("SeriesPoint", "n"): "a result: a replica count or 'exact'",
@@ -177,7 +175,7 @@ def test_public_integers_follow_one_rule(knob, param, least, call, named):
 
 def _int_annotated(obj) -> set[str]:
     if dataclasses.is_dataclass(obj):
-        annotations = {f.name: f.type for f in dataclasses.fields(obj)}
+        annotations = {f.name: f.type for f in dataclasses.fields(obj) if f.init}
     else:
         annotations = {k: p.annotation for k, p in inspect.signature(obj).parameters.items()}
     return {k for k, a in annotations.items() if re.search(r"\bint\b", str(a))}
@@ -191,8 +189,9 @@ def test_every_public_integer_is_in_the_table():
 
 
 def _knobs(obj) -> tuple[str, ...]:
+    # a derived field (init=False) is not a knob
     if dataclasses.is_dataclass(obj):
-        return tuple(f.name for f in dataclasses.fields(obj))
+        return tuple(f.name for f in dataclasses.fields(obj) if f.init)
     return tuple(inspect.signature(obj).parameters)
 
 
