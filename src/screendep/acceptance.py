@@ -264,7 +264,7 @@ class AcceptanceSuite:
     def criterion_6(self) -> tuple[bool, str]:
         # the root's light cone is the ball of radius L = config.depth, and
         # the breadth-first build draws its degrees first, so a deeper ball
-        # gives the same masks
+        # gives the same fill times
         dist = DegreeDistribution.from_pairs({2: "1/2", 3: "1/2"})
         config = SimConfig(
             sample_times=RANDOM_TIMES,

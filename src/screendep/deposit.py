@@ -5,11 +5,16 @@ arriving at v settles at height 1 + max over the closed neighborhood of v
 of the current top height, i.e. it is blocked by the tallest stack it can
 see, including v's own.
 
-Per vertex we report a bitmask of the occupied layers up to the deepest
-layer an observable reads, the depth (bit h - 1 set iff some particle sits
-at height h).  Pattern observables are binary words over a window of the
-lowest layers, written top layer first: "0101" means layer 4 empty, layer
-3 occupied, layer 2 empty, layer 1 occupied.
+A replica reports the fill times of its measured vertices: for each of
+them and each layer k up to the depth, the deepest layer an observable
+reads, the time at which a particle settles at height k there, or inf if
+none ever does.  A settled particle stays, so layer k is occupied at t
+exactly when its fill time is at most t.  Sample times enter only when
+the observables are read.  Pattern observables are binary words over a
+window of the lowest layers, written top layer first: "0101" means layer
+4 empty, layer 3 occupied, layer 2 empty, layer 1 occupied.  A word holds
+at t exactly when t lies in [latest fill of its occupied layers, earliest
+fill of its empty ones).
 
 The arrivals are never put in time order.  Let T_k(v) be the time at which
 v's stack first reaches layer k, and S_k(v) = min over the neighbors u of v
@@ -25,13 +30,14 @@ arrival at v lands above v's top, so height k is filled then or never.
 Once v's top is k, v's next arrival lifts it to k + 1 or above.
 
 Each layer takes at most one new arrival per vertex, so each vertex's first
-depth arrival times decide every mask: a (depth, m) matrix of cumulative
-sums of Exp(1) gaps, settled in depth passes over a padded neighbor table.
-The work does not grow with the sample times, so a run has no horizon to
-set: it ends at its last sample time.
+depth arrival times decide every fill time.  They are drawn as a (depth, m)
+matrix of Exp(1) gaps and settled in depth passes over a padded neighbor
+table; a vertex that lands at a layer adds its next gap to take its next
+arrival.  The work does not grow with the sample times, so a run has no
+horizon to set: it ends at its last sample time.
 
-T_k(v) reads the arrivals within distance k - 1 of v, and the mask bit of
-layer k those within distance k: the lowest L layers at a vertex are
+T_k(v) reads the arrivals within distance k - 1 of v, and the fill time
+of layer k those within distance k: the lowest L layers at a vertex are
 decided by its light cone, the vertices within distance L.  On a ball,
 whose vertices are numbered breadth-first, the light cones of the measured
 vertices lie in a prefix of the vertex ids, and the arrivals are drawn
@@ -41,11 +47,11 @@ never reaches a layer: its T_k is infinite.  So a fixed ball need only
 be built down to the deepest level a measured cone reads
 (SimConfig.reach), as the CLI builds a regular ball; it goes to the
 replicas as given, with its neighbor table over the prefix built once.
-The masks are those of the finite ball; they are infinite-tree marginals
-when every measured light cone lies inside it, that is when the buffer is
-at least depth for interior vertices, or the radius at least depth for
-the root.  The CLI derives such a buffer; this module takes the ball as
-given.
+The fill times are those of the finite ball; they are infinite-tree
+marginals when every measured light cone lies inside it, that is when the
+buffer is at least depth for interior vertices, or the radius at least
+depth for the root.  The CLI derives such a buffer; this module takes the
+ball as given.
 
 The replicas run in contiguous blocks, one per worker: of R replicas on
 w workers, block i holds replicas R * i // w to R * (i + 1) // w - 1.
@@ -65,6 +71,7 @@ import numbers
 import os
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import lru_cache, reduce
 from itertools import zip_longest
 from typing import TYPE_CHECKING, Union
 
@@ -153,10 +160,12 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class ReplicaSnapshot:
-    """The measured vertices' masks at the sample times, (n_times, n_measured)."""
+    """One replica's result: fill_times[k, i] is the time at which layer
+    k + 1 is filled at vertex measured[i], inf if it never is; shape
+    (depth, n_measured)."""
 
     measured: tuple[int, ...]
-    masks: np.ndarray
+    fill_times: np.ndarray
 
 
 def observable_names(config: SimConfig) -> tuple[str, ...]:
@@ -182,10 +191,11 @@ def _light_cone(graph: GraphInstance, measured: tuple[int, ...], depth: int) -> 
     return bisect_right(graph.depth, reach)
 
 
-def _first_arrivals(m: int, depth: int, rng: np.random.Generator) -> np.ndarray:
-    """The first depth arrival times at each of m vertices, shape (depth, m):
-    row k holds every vertex's (k + 1)-th arrival, a sum of k + 1 Exp(1) gaps."""
-    return rng.standard_exponential((depth, m)).cumsum(axis=0)
+def _arrival_gaps(m: int, depth: int, rng: np.random.Generator) -> np.ndarray:
+    """The gaps before the first depth arrivals at each of m vertices, shape
+    (depth, m), iid Exp(1): a vertex's (k + 1)-th arrival time is the sum of
+    its column's first k + 1 gaps."""
+    return rng.standard_exponential((depth, m))
 
 
 def _cone_arrays(graph: GraphInstance, m: int, measured: tuple[int, ...]):
@@ -212,36 +222,35 @@ def _cone_arrays(graph: GraphInstance, m: int, measured: tuple[int, ...]):
     return table, index
 
 
-def _settle_layers(
-    table: np.ndarray, arrivals: np.ndarray, measured: np.ndarray, sample_times
-) -> np.ndarray:
-    """The measured masks at the sample times, shape (n_times, n_measured).
+def _settle_layers(table: np.ndarray, gaps: np.ndarray, measured: np.ndarray) -> np.ndarray:
+    """The measured vertices' fill times, shape (depth, n_measured).
 
-    arrivals[j, v] is vertex v's (j + 1)-th arrival time and table is the
-    padded neighbor table of the same m vertices.  Pass k holds each
-    vertex's T_k: a vertex whose neighbors all reach layer k later settles
-    a particle at height k and takes its next arrival for T_{k+1}; any
-    other vertex jumps past layer k and keeps T_k.
+    gaps[j, v] is the gap before vertex v's (j + 1)-th arrival and table is
+    the padded neighbor table of the same m vertices.  Pass k holds each
+    vertex's T_{k+1}: a vertex whose neighbors all reach that layer later
+    settles a particle there, fills it at T_{k+1} and adds its next gap for
+    T_{k+2}; any other vertex jumps past the layer, never fills it, and
+    keeps its time.  The sums are the additions of a cumulative sum down
+    each column, made in the same order.
     """
     import numpy as np
 
-    depth, m = arrivals.shape
-    flat = arrivals.ravel()
+    depth, m = gaps.shape
+    flat = gaps.ravel()
     passage = np.empty(m + 1)
     passage[m] = np.inf
     t_k = passage[:m]
-    t_k[:] = arrivals[0]
+    t_k[:] = gaps[0]
     used = np.arange(m)
-    times = np.asarray(sample_times, dtype=np.float64)[:, None]
-    masks = np.zeros((len(times), len(measured)), dtype=np.int64)
+    fill = np.empty((depth, len(measured)))
     for k in range(depth):
         lands = t_k < passage[table].min(axis=0)
-        held = (t_k[measured] <= times) & lands[measured]
-        masks |= held.astype(np.int64) << k
+        fill[k] = np.where(lands, t_k, np.inf)[measured]
         if k + 1 < depth:
             used += lands * m
-            t_k[:] = flat[used]
-    return masks
+            # the next gap where the vertex landed, and 0 where it did not
+            t_k += lands * flat[used]
+    return fill
 
 
 def _replica_setup(graph: GraphInstance, config: SimConfig):
@@ -268,34 +277,73 @@ def run_replica(
     config: SimConfig,
     rng: np.random.Generator | np.random.SeedSequence | int | None,
 ) -> ReplicaSnapshot:
-    """Simulate one arrival realization and snapshot it at the sample times.
+    """Simulate one arrival realization: the measured vertices' fill times
+    of the lowest config.depth layers.
 
     The measured vertices are graph.interior, or (graph.root,) when
     config.measure is "root"; to measure another set, give the graph that
     interior with dataclasses.replace.  Each vertex of their light cone,
-    the first m vertex ids, draws its first depth arrival times, and
-    _settle_layers settles them one layer at a time (see the module
+    the first m vertex ids, draws the gaps before its first depth arrivals,
+    and _settle_layers settles them one layer at a time (see the module
     docstring).  The draw depends on the cone alone, not on the rest of
-    the graph or on the sample times.
+    the graph, and the result does not depend on the sample times, which
+    snapshot_observables reads.
     """
     rng = _generator(rng)
     measured, table, index = _replica_setup(graph, config)
-    arrivals = _first_arrivals(table.shape[1], config.depth, rng)
-    return ReplicaSnapshot(
-        measured=measured, masks=_settle_layers(table, arrivals, index, config.sample_times)
-    )
+    gaps = _arrival_gaps(table.shape[1], config.depth, rng)
+    return ReplicaSnapshot(measured=measured, fill_times=_settle_layers(table, gaps, index))
+
+
+@lru_cache(maxsize=1)
+def _windows(layers: tuple[int, ...], patterns: tuple[str, ...]):
+    """(occupied, empty) per observable, in observable_names' order: the
+    fill-time rows of the layers it needs occupied and of those it needs
+    empty.  Cached, so a run builds them once, not once per replica."""
+    windows = [((k - 1,), ()) for k in layers]
+    for p in patterns:
+        bits = list(enumerate(reversed(p)))
+        windows.append(
+            (tuple(k for k, b in bits if b == "1"), tuple(k for k, b in bits if b == "0"))
+        )
+    return tuple(windows)
 
 
 def snapshot_observables(snap: ReplicaSnapshot, config: SimConfig) -> np.ndarray:
-    """Per-replica observable means, shape (n_observables, n_times), in
-    observable_names' order."""
+    """Per-replica observable means at the sample times, shape
+    (n_observables, n_times), in observable_names' order.
+
+    An observable holds at t exactly when its occupied layers are all
+    filled by t and its empty ones are not: on the window [start, end),
+    where start is the latest fill time of its occupied layers (-inf if it
+    has none) and end the earliest of its empty ones (inf if none).  So
+    the count holding at t is the count with start <= t less the count
+    with max(start, end) <= t, each read from sorted times.  The counts
+    are divided by the number of measured vertices once, which gives the
+    same floats as the mean of 0/1 values.
+    """
     import numpy as np
 
-    masks = snap.masks
-    rows = [(masks >> (k - 1)) & 1 for k in config.layers] + [
-        (masks & ((1 << len(p)) - 1)) == int(p, 2) for p in config.patterns
-    ]
-    return np.array([row.mean(axis=1) for row in rows])
+    fill = snap.fill_times
+    n = fill.shape[1]
+    times = np.array(config.sample_times)
+
+    def reached(values):
+        """How many of values lie at or before each sample time."""
+        return np.searchsorted(np.sort(values), times, side="right")
+
+    counts = []
+    for occupied, empty in _windows(config.layers, config.patterns):
+        if occupied:
+            start = reduce(np.maximum, [fill[k] for k in occupied])
+        else:
+            start = np.full(n, -np.inf)
+        held = reached(start)
+        if empty:
+            end = reduce(np.minimum, [fill[k] for k in empty])
+            held = held - reached(np.maximum(start, end))
+        counts.append(held)
+    return np.array(counts) / n
 
 
 def _replica_seed(seed: int, replica: int, stream: int) -> np.random.SeedSequence:

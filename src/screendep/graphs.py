@@ -173,9 +173,9 @@ def build_regular_ball(
     depth `reach` (default `radius`) are leaves.  A smaller reach builds
     only the vertices of depth <= reach.  At SimConfig.reach that is the
     part of the ball the measured light cones read: the simulator draws
-    no arrival beyond it, so the masks are those of the whole ball.  The
-    label still names the ball of radius `radius`.  Interior = depth <=
-    radius - buffer among the vertices built.
+    no arrival beyond it, so the fill times are those of the whole ball.
+    The label still names the ball of radius `radius`.  Interior = depth
+    <= radius - buffer among the vertices built.
     """
     d = _count(d, "d", 2)
     return _grow_ball(

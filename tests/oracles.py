@@ -5,8 +5,10 @@ rate, the rho2 display and the two-atom C_t(n, x) route to Qrho2.  Float
 side: adaptive quadrature of the QD2 integrand.  Simulator: an
 event-by-event replay of given arrival times that asserts the two-layer
 transition conditions, the rule the package's layer-by-layer kernel must
-match.  The binomial double sum for QD2 is not here: `screendep validate`
-runs it, so it lives in screendep.acceptance.
+match, and the occupied-layer bitmasks that fill times give at sample
+times, with the observables read from those masks.  The binomial double
+sum for QD2 is not here: `screendep validate` runs it, so it lives in
+screendep.acceptance.
 """
 
 from __future__ import annotations
@@ -176,7 +178,9 @@ def _predicted_code(site: list[int], nbrs: list[list[int]]) -> int:
     return _code(site)
 
 
-def replay(graph: GraphInstance, config: SimConfig, arrivals: np.ndarray) -> np.ndarray:
+def replay(
+    graph: GraphInstance, config: SimConfig, arrivals: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """Settle given arrivals event by event, asserting every transition.
 
     arrivals[j, v] is the (j + 1)-th arrival time at vertex v, for the
@@ -184,10 +188,13 @@ def replay(graph: GraphInstance, config: SimConfig, arrivals: np.ndarray) -> np.
     The arrivals are sorted by time and settled one by one on the whole
     graph, each vertex keeping its whole stack of settlement heights.  A
     particle settles one above the highest stack in its closed
-    neighborhood.  Returns the masks (occupied heights up to config.depth)
-    of every vertex at each sample time, shape (n_times, n), where a sample
-    time includes the events at or before it.  Arrivals after the last
-    sample time cannot change a mask and are not settled.
+    neighborhood.  Returns two arrays.  The masks (occupied heights up to
+    config.depth) of every vertex at each sample time, shape (n_times, n),
+    where a sample time includes the events at or before it.  The fill
+    times, shape (config.depth, n): entry [h - 1, v] is the time a particle
+    settles at height h at v, inf if none does by the last sample time.
+    Arrivals after the last sample time cannot change a mask and are not
+    settled.
     """
     n = graph.vertex_count
     times = np.asarray(arrivals, dtype=np.float64)
@@ -197,6 +204,7 @@ def replay(graph: GraphInstance, config: SimConfig, arrivals: np.ndarray) -> np.
 
     stacks: list[list[int]] = [[] for _ in range(n)]
     masks: list[list[int]] = []
+    fill = np.full((config.depth, n), np.inf)
     pending = list(config.sample_times)
 
     def snapshot() -> None:
@@ -210,11 +218,34 @@ def replay(graph: GraphInstance, config: SimConfig, arrivals: np.ndarray) -> np.
             break
         nbrs = [stacks[u] for u in graph.neighbors[v]]
         expected = _predicted_code(stacks[v], nbrs)
-        stacks[v].append(1 + max(max(s, default=0) for s in (stacks[v], *nbrs)))
+        height = 1 + max(max(s, default=0) for s in (stacks[v], *nbrs))
+        stacks[v].append(height)
         assert _code(stacks[v]) == expected, (
-            f"vertex {v} at t={t}: settled at height {stacks[v][-1]}, "
+            f"vertex {v} at t={t}: settled at height {height}, "
             f"two-layer code {_code(stacks[v])}, conditions predicted {expected}"
         )
+        if height <= config.depth:
+            fill[height - 1, v] = t
     while pending:
         snapshot()
-    return np.array(masks, dtype=np.int64)
+    return np.array(masks, dtype=np.int64), fill
+
+
+def masks_at(fill_times: np.ndarray, sample_times) -> np.ndarray:
+    """The occupied-layer bitmasks that fill times give at the sample times,
+    shape (n_times, n): bit k of a vertex's mask is set iff fill[k] <= t."""
+    times = np.asarray(sample_times, dtype=np.float64)[:, None]
+    masks = np.zeros((len(times), fill_times.shape[1]), dtype=np.int64)
+    for k, row in enumerate(fill_times):
+        masks |= (row <= times).astype(np.int64) << k
+    return masks
+
+
+def mask_observables(masks: np.ndarray, config: SimConfig) -> np.ndarray:
+    """The observables read from masks, shape (n_observables, n_times): the
+    share of vertices with layer k's bit set, or with the lowest len(p) bits
+    equal to the word p read as a binary number."""
+    rows = [(masks >> (k - 1)) & 1 for k in config.layers] + [
+        (masks & ((1 << len(p)) - 1)) == int(p, 2) for p in config.patterns
+    ]
+    return np.array([row.mean(axis=1) for row in rows])

@@ -852,8 +852,8 @@ def test_cli_import_leaves_scipy_unloaded():
     # numpy and the process pool are needed only by a simulation, which
     # imports them on first use; a module-level import would load them for
     # every command.  scipy is no runtime dependency, so no command loads
-    # it.  deposit and graphs are still imported with the package, so their
-    # functions can be wrapped in place from outside.
+    # it.  analytic, deposit and graphs are still imported with the
+    # package, so their functions can be wrapped in place from outside.
     src = Path(__file__).resolve().parent.parent / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
     heavy = {"numpy", "scipy", "concurrent.futures", "multiprocessing"}
@@ -868,7 +868,7 @@ def test_cli_import_leaves_scipy_unloaded():
         )
         loaded = set(json.loads(out.stdout))
         assert not loaded & heavy, (module, loaded & heavy)
-        assert {"screendep.deposit", "screendep.graphs"} <= loaded, module
+        assert {"screendep.analytic", "screendep.deposit", "screendep.graphs"} <= loaded, module
 
 
 def test_validate_quick_runs_without_scipy():

@@ -9,14 +9,16 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from screendep import deposit
 from screendep.degree import DegreeDistribution
 from screendep.deposit import (
     MAX_TRACKED_LAYERS,
     SimConfig,
+    _arrival_gaps,
     _cone_arrays,
-    _first_arrivals,
     _light_cone,
     _settle_layers,
     estimate_densities,
@@ -32,10 +34,22 @@ from screendep.graphs import (
     build_regular_ball,
 )
 
-from oracles import replay
+from oracles import mask_observables, masks_at, replay
 
 TWO_THREE = DegreeDistribution.from_pairs({2: "1/2", 3: "1/2"})
 WIDE = DegreeDistribution.from_pairs({2: "1/2", 3: "1/4", 5: "1/4"})
+
+
+def _arrivals(m, depth, seed):
+    """The first depth arrival times at each of m vertices that a replica
+    seeded with seed draws: the cumulative sums of its gaps."""
+    return _arrival_gaps(m, depth, np.random.default_rng(seed)).cumsum(axis=0)
+
+
+def _by(fill_times, horizon):
+    """The fill times at or before the horizon, inf past it: those that a
+    replay to the horizon sees."""
+    return np.where(fill_times <= horizon, fill_times, np.inf)
 
 
 def _continued(arrivals, horizon, rng):
@@ -204,7 +218,9 @@ def test_settlements_conform_to_transition_rates(graph, horizon, observed):
     # arrivals only in the interior's light cone: the replay gets that
     # cone's arrivals, counted here from the depths, but settles on the
     # whole graph.  The long runs check that the arrivals past a vertex's
-    # depth-th, which the kernel never draws, change nothing.
+    # depth-th, which the kernel never draws, change nothing.  The fill
+    # times up to the horizon must equal the replay's too, the same sums
+    # to the bit.
     times = tuple(horizon * f for f in (0.25, 0.625, 1.0))
     cfg = SimConfig(sample_times=times, **observed)
     depth = cfg.depth
@@ -219,14 +235,16 @@ def test_settlements_conform_to_transition_rates(graph, horizon, observed):
     settled = undrawn = 0
     for r in range(8):
         seed = 1000 + r
-        arrivals = _continued(_first_arrivals(n, depth, np.random.default_rng(seed)), horizon, extra)
-        reference = replay(graph, cfg, arrivals)
+        arrivals = _continued(_arrivals(n, depth, seed), horizon, extra)
+        reference, filled = replay(graph, cfg, arrivals)
         snap = run_replica(everyone, cfg, rng=seed)
-        assert np.array_equal(snap.masks, reference)
-        inside = _continued(_first_arrivals(cone, depth, np.random.default_rng(seed)), horizon, extra)
-        inner = replay(graph, cfg, inside)
+        assert np.array_equal(masks_at(snap.fill_times, times), reference)
+        assert np.array_equal(_by(snap.fill_times, horizon), filled)
+        inside = _continued(_arrivals(cone, depth, seed), horizon, extra)
+        inner, inner_filled = replay(graph, cfg, inside)
         snap = run_replica(graph, cfg, rng=seed)
-        assert np.array_equal(snap.masks, inner[:, interior])
+        assert np.array_equal(masks_at(snap.fill_times, times), inner[:, interior])
+        assert np.array_equal(_by(snap.fill_times, horizon), inner_filled[:, interior])
         before = arrivals <= horizon
         settled += np.count_nonzero(before)
         undrawn += np.count_nonzero(before[depth:])
@@ -247,19 +265,21 @@ def test_settlements_conform_to_transition_rates(graph, horizon, observed):
 )
 def test_first_passage_kernel_equals_the_event_replay(build, depth):
     # each vertex draws depth + 6 arrivals: the replay settles all of them
-    # one event at a time, the kernel reads only the first depth, one layer
-    # per pass.  Every vertex's masks must be equal at every sample time,
-    # the last of them long after the lowest layers have jammed.
+    # one event at a time, the kernel reads only the first depth gaps, one
+    # layer per pass.  Every vertex's masks must be equal at every sample
+    # time, the last of them long after the lowest layers have jammed, and
+    # so must every fill time up to it, to the bit.
     cfg = SimConfig(sample_times=(0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 30.0),
                     layers=(depth,))
     for seed in range(25):
         graph = build(seed)
         n = graph.vertex_count
-        arrivals = _first_arrivals(n, depth + 6, np.random.default_rng(seed))
-        reference = replay(graph, cfg, arrivals)
+        gaps = _arrival_gaps(n, depth + 6, np.random.default_rng(seed))
+        reference, filled = replay(graph, cfg, gaps.cumsum(axis=0))
         table, everyone = _cone_arrays(graph, n, tuple(range(n)))
-        masks = _settle_layers(table, arrivals[:depth], everyone, cfg.sample_times)
-        assert np.array_equal(masks, reference), seed
+        fill = _settle_layers(table, gaps[:depth], everyone)
+        assert np.array_equal(masks_at(fill, cfg.sample_times), reference), seed
+        assert np.array_equal(_by(fill, cfg.horizon), filled), seed
 
 
 def test_kernel_without_the_jump_rule_fails_the_replay():
@@ -269,23 +289,21 @@ def test_kernel_without_the_jump_rule_fails_the_replay():
     graph = build_cycle(200)
     depth = 3
     cfg = SimConfig(sample_times=(0.5, 1.0, 2.0, 30.0), layers=(depth,))
-    times = np.asarray(cfg.sample_times)[:, None]
     differs = 0
     for seed in range(20):
-        arrivals = _first_arrivals(200, depth + 6, np.random.default_rng(seed))
-        reference = replay(graph, cfg, arrivals)
+        arrivals = _arrivals(200, depth + 6, seed)
+        reference, _ = replay(graph, cfg, arrivals)
         first = arrivals[:depth]
         screen = np.minimum(np.roll(first, 1, axis=1), np.roll(first, -1, axis=1))
         settled = np.where(first < screen, first, np.inf)
-        masks = sum((settled[k] <= times).astype(np.int64) << k for k in range(depth))
-        differs += not np.array_equal(masks, reference)
+        differs += not np.array_equal(masks_at(settled, cfg.sample_times), reference)
     assert differs > 0
 
 
 def _root_masks_on_ball(radius, arrivals, cfg):
     """Root masks from the arrivals that land in the radius-`radius` ball of T_3."""
     ball = build_regular_ball(3, radius)
-    return replay(ball, cfg, arrivals[:, :ball.vertex_count])[:, :1]
+    return replay(ball, cfg, arrivals[:, :ball.vertex_count])[0][:, :1]
 
 
 def test_light_cone_decides_the_lowest_layers():
@@ -299,7 +317,7 @@ def test_light_cone_decides_the_lowest_layers():
     for seed in range(100):
         rng = np.random.default_rng(seed)
         arrivals = _continued(rng.standard_exponential((1, big.vertex_count)), cfg.horizon, rng)
-        full = replay(big, cfg, arrivals)[:, :1]
+        full = replay(big, cfg, arrivals)[0][:, :1]
         for depth in range(1, 5):
             low = (1 << depth) - 1
             assert np.array_equal(_root_masks_on_ball(depth, arrivals, cfg) & low, full & low)
@@ -342,7 +360,7 @@ def test_light_cone_equals_the_brute_force():
 )
 def test_light_cone_filter_is_exact(build, measure, seeds, observed):
     # run_replica draws arrivals only within distance depth of a measured
-    # vertex, and its masks are those of settling that draw.  Arrivals
+    # vertex, and its fill times are those of settling that draw.  Arrivals
     # outside the cone cannot reach the measured layers: giving every other
     # vertex of the ball arrivals too must leave the masks as they are at
     # every sample time.  The balls reach two levels past every cone, so
@@ -353,9 +371,9 @@ def test_light_cone_filter_is_exact(build, measure, seeds, observed):
     extra = np.random.default_rng(99)
     too_small = inserted = 0
 
-    def settle(graph, measured, arrivals):
-        table, index = _cone_arrays(graph, arrivals.shape[1], measured)
-        return _settle_layers(table, arrivals, index, cfg.sample_times)
+    def settle(graph, measured, gaps):
+        table, index = _cone_arrays(graph, gaps.shape[1], measured)
+        return masks_at(_settle_layers(table, gaps, index), cfg.sample_times)
 
     for seed in range(seeds):
         graph = build(seed)
@@ -364,17 +382,18 @@ def test_light_cone_filter_is_exact(build, measure, seeds, observed):
         reach = max(graph.depth[v] for v in measured) + depth
         cone = sum(d <= reach for d in graph.depth)
         assert cone < n
-        first = _first_arrivals(cone, depth, np.random.default_rng(seed))
+        first = _arrival_gaps(cone, depth, np.random.default_rng(seed))
         snap = run_replica(graph, cfg, rng=seed)
         assert snap.measured == tuple(measured)
-        assert np.array_equal(snap.masks, settle(graph, measured, first))
-        outside = _first_arrivals(n - cone, depth, extra)
-        inserted += np.count_nonzero(outside <= cfg.horizon)
+        masks = masks_at(snap.fill_times, cfg.sample_times)
+        assert np.array_equal(masks, settle(graph, measured, first))
+        outside = _arrival_gaps(n - cone, depth, extra)
+        inserted += np.count_nonzero(outside.cumsum(axis=0) <= cfg.horizon)
         everywhere = np.hstack([first, outside])
-        assert np.array_equal(snap.masks, settle(graph, measured, everywhere))
+        assert np.array_equal(masks, settle(graph, measured, everywhere))
         shallower = sum(d < reach for d in graph.depth)
         short = settle(graph, measured, first[:, :shallower])
-        too_small += not np.array_equal(short, snap.masks)
+        too_small += not np.array_equal(short, masks)
     assert too_small > 0
     assert inserted > 0
 
@@ -389,7 +408,7 @@ def test_light_cone_filter_is_exact(build, measure, seeds, observed):
 def test_ball_cut_to_its_light_cone_gives_the_same_masks(measure, observed, cones, monkeypatch):
     # a fixed ball goes to every block as given, and each replica draws and
     # settles only the light cone of its measured vertices, a prefix of the
-    # ids: the masks are those of the ball cut to that prefix, seed for
+    # ids: the fill times are those of the ball cut to that prefix, seed for
     # seed.  The cone of T_3 to level r has 1 + 3(2^r - 1) vertices:
     # interior vertices reach level 3 + depth, the root level depth.
     ball = build_regular_ball(3, radius=7, buffer=4)
@@ -407,7 +426,7 @@ def test_ball_cut_to_its_light_cone_gives_the_same_masks(measure, observed, cone
     for seed in range(20):
         full, short = run_replica(ball, cfg, rng=seed), run_replica(cut, cfg, rng=seed)
         assert short.measured == full.measured
-        assert np.array_equal(short.masks, full.masks)
+        assert np.array_equal(short.fill_times, full.fill_times)
     # every block receives the caller's ball itself, and the blocks cover
     # the replicas once and in order
     sent = []
@@ -460,32 +479,38 @@ def test_cli_grows_a_regular_ball_to_its_light_cone(d, radius, buffer, observed,
 
 
 def test_first_arrivals_are_a_poisson_process():
-    # a vertex's row entries are the first depth points of a unit-rate
-    # Poisson process.  At depth 6 the number at or before T = 2 is
-    # min(Poisson(2), 6): chi-square, 6 dof.  The first is Exp(1):
-    # chi-square over 10 equiprobable bins, 9 dof.
-    arrivals = _first_arrivals(1000, 6, np.random.default_rng(5))
-    assert arrivals.shape == (6, 1000)
-    assert np.all(np.diff(arrivals, axis=0) > 0)
+    # each row of gaps is iid Exp(1): chi-square over 10 equiprobable bins,
+    # 9 dof.  A column's cumulative sums are then the first depth points of
+    # a unit-rate Poisson process: at depth 6 the number at or before T = 2
+    # is min(Poisson(2), 6), chi-square with 6 dof.
+    gaps = _arrival_gaps(1000, 6, np.random.default_rng(5))
+    assert gaps.shape == (6, 1000)
+    assert np.all(gaps > 0)
+    edges = -np.log1p(-np.arange(1, 10) / 10)
+    for row in gaps:
+        cells = np.bincount(np.searchsorted(edges, row), minlength=10)
+        chi2 = ((cells - 100) ** 2 / 100).sum()
+        assert chi2 < 27.9, (chi2, cells)
+    arrivals = gaps.cumsum(axis=0)
     cells = np.bincount(np.count_nonzero(arrivals <= 2.0, axis=0), minlength=7)
     pmf = [math.exp(-2.0) * 2.0 ** k / math.factorial(k) for k in range(6)]
     expected = np.array([1000 * p for p in pmf] + [1000 * (1 - sum(pmf))])
     assert expected.min() > 5
     chi2 = ((cells - expected) ** 2 / expected).sum()
     assert chi2 < 22.5, (chi2, cells)
-    edges = -np.log1p(-np.arange(1, 10) / 10)
-    cells = np.bincount(np.searchsorted(edges, arrivals[0]), minlength=10)
-    chi2 = ((cells - 100) ** 2 / 100).sum()
-    assert chi2 < 27.9, (chi2, cells)
 
 
 def test_snapshots_are_cumulative():
+    # occupied layers only grow: a vertex's masks at later sample times
+    # hold its earlier ones, and the layer densities never fall
     g = build_cycle(200)
     cfg = SimConfig(sample_times=(0.5, 1.0, 2.0, 3.0))
     snap = run_replica(g, cfg, rng=11)
+    masks = masks_at(snap.fill_times, cfg.sample_times)
     for i in range(3):
-        # occupied layers only grow
-        assert np.all(snap.masks[i] & ~snap.masks[i + 1] == 0)
+        assert np.all(masks[i] & ~masks[i + 1] == 0)
+    growth = np.diff(snapshot_observables(snap, cfg), axis=1)
+    assert np.all(growth >= 0) and np.any(growth > 0)
 
 
 def test_layer_one_sites_form_an_independent_set():
@@ -496,24 +521,28 @@ def test_layer_one_sites_form_an_independent_set():
     cfg = SimConfig(sample_times=(1.0, 5.0))
     for r in range(5):
         snap = run_replica(g, cfg, rng=50 + r)
-        for row in snap.masks:
+        for row in masks_at(snap.fill_times, cfg.sample_times):
             bit1 = row & 1
             assert not np.any(bit1 & np.roll(bit1, 1))
+        # a layer-1 particle stays, so no two neighbors are ever both filled
+        first = np.isfinite(snap.fill_times[0])
+        assert not np.any(first & np.roll(first, 1))
 
 
 def test_masks_stay_below_depth():
     # layers 1 and 2 give depth 2: settling the same arrivals untruncated
-    # reaches higher layers, and truncation drops exactly those bits
+    # reaches higher layers, and the snapshot keeps the fill times of
+    # exactly the lowest two
     g = build_cycle(30)
     cfg = SimConfig(sample_times=(12.0,), layers=(1, 2))
     snap = run_replica(g, cfg, rng=2)
-    first = _first_arrivals(30, cfg.depth, np.random.default_rng(2))
-    arrivals = _continued(first, cfg.horizon, np.random.default_rng(3))
+    arrivals = _continued(_arrivals(30, cfg.depth, 2), cfg.horizon, np.random.default_rng(3))
     untruncated = SimConfig(sample_times=(12.0,), layers=(MAX_TRACKED_LAYERS,))
-    deep = replay(g, untruncated, arrivals)
-    assert np.all(snap.masks < 1 << cfg.depth)
+    deep, deep_filled = replay(g, untruncated, arrivals)
+    assert snap.fill_times.shape == (cfg.depth, 30)
     assert np.count_nonzero(deep >= 1 << cfg.depth) > 10
-    assert np.array_equal(snap.masks, deep & 3)
+    assert np.array_equal(masks_at(snap.fill_times, cfg.sample_times), deep & 3)
+    assert np.array_equal(_by(snap.fill_times, cfg.horizon), deep_filled[:cfg.depth])
 
 
 def test_small_cycle_is_rejected():
@@ -521,7 +550,7 @@ def test_small_cycle_is_rejected():
     cfg = SimConfig(sample_times=(1.0,), layers=(3,))
     with pytest.raises(ValueError, match="n >= 7"):
         run_replica(build_cycle(6), cfg, rng=0)
-    assert run_replica(build_cycle(7), cfg, rng=0).masks.shape == (1, 7)
+    assert run_replica(build_cycle(7), cfg, rng=0).fill_times.shape == (3, 7)
 
 
 def test_measured_override():
@@ -530,10 +559,83 @@ def test_measured_override():
     cfg = SimConfig(sample_times=(1.0,))
     snap = run_replica(replace(g, interior=(3, 7)), cfg, rng=0)
     assert snap.measured == (3, 7)
-    assert snap.masks.shape == (1, 2)
+    assert snap.fill_times.shape == (cfg.depth, 2)
     for bad in (-1, 50):
         with pytest.raises(ValueError, match="interior vertex must be"):
             replace(g, interior=(3, bad))
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [build_cycle(60), build_regular_ball(3, radius=6, buffer=2),
+     build_random_ball(WIDE, radius=5, buffer=2, rng=4)],
+    ids=["cycle", "regular_ball", "random_ball"],
+)
+def test_fill_times_do_not_depend_on_the_sample_grid(graph):
+    # sample times enter only when the observables are read: at one seed,
+    # two grids give the same fill times to the bit
+    coarse = SimConfig(sample_times=(1.0,), layers=(1, 3), patterns=("0101",))
+    fine = replace(coarse, sample_times=(0.1, 0.2, 0.7, 3.0, 40.0))
+    for seed in range(5):
+        a, b = run_replica(graph, coarse, rng=seed), run_replica(graph, fine, rng=seed)
+        assert a.fill_times.tobytes() == b.fill_times.tobytes()
+
+
+@pytest.mark.parametrize(
+    "graph, measure",
+    [(build_cycle(80), "interior"), (build_regular_ball(3, radius=7, buffer=5), "interior"),
+     (build_random_ball(WIDE, radius=6, buffer=1, rng=2), "root")],
+    ids=["cycle", "regular_ball", "random_ball_root"],
+)
+def test_finite_fill_times_increase_with_the_layer(graph, measure):
+    # a vertex fills its layers from the bottom up, each at an arrival of
+    # its own, so its finite fill times strictly increase with the layer.
+    # A layer it jumps past reads inf below a finite one above.
+    cfg = SimConfig(sample_times=(1.0,), layers=(5,), measure=measure)
+    climbed = jumped = 0
+    for seed in range(30):
+        fill = run_replica(graph, cfg, rng=seed).fill_times
+        below = np.maximum.accumulate(np.where(np.isfinite(fill), fill, -np.inf), axis=0)
+        above = np.isfinite(fill[1:])
+        assert np.all(fill[1:][above] > below[:-1][above]), seed
+        climbed += np.count_nonzero(above & np.isfinite(below[:-1]))
+        jumped += np.count_nonzero(above & ~np.isfinite(fill[:-1]))
+    assert climbed > 0 and jumped > 0
+
+
+_GRAPHS = {
+    "cycle": lambda seed: build_cycle(40),
+    "regular_ball": lambda seed: build_regular_ball(3, radius=5, buffer=2),
+    "random_ball": lambda seed: build_random_ball(WIDE, radius=5, buffer=2, rng=seed),
+}
+_WORDS = st.one_of(st.sampled_from(["0", "1", "00000", "11111", "0101"]),
+                   st.text(alphabet="01", min_size=1, max_size=5))
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_observables_from_fill_times_equal_the_mask_formula(data):
+    # snapshot_observables reads windows of fill times; the reference reads
+    # the bitmasks at each sample time.  Some sample times are fill times
+    # themselves, where a layer is occupied from that instant on.
+    kind = data.draw(st.sampled_from(sorted(_GRAPHS)), label="graph")
+    seed = data.draw(st.integers(0, 2**16), label="seed")
+    graph = _GRAPHS[kind](seed)
+    measure = data.draw(st.sampled_from(["interior", "root"] if graph.root is not None
+                                        else ["interior"]), label="measure")
+    layers = data.draw(st.lists(st.integers(1, 5), unique=True, max_size=3), label="layers")
+    patterns = data.draw(st.lists(_WORDS, unique=True, min_size=0 if layers else 1,
+                                  max_size=4), label="patterns")
+    probe = SimConfig(sample_times=(1.0,), layers=layers, patterns=patterns, measure=measure)
+    snap = run_replica(graph, probe, rng=seed)
+    fills = snap.fill_times[np.isfinite(snap.fill_times)].tolist()
+    ties = data.draw(st.lists(st.sampled_from(fills), max_size=4) if fills else st.just([]),
+                     label="ties")
+    others = data.draw(st.lists(st.floats(0.01, 20.0), min_size=0 if ties else 1, max_size=4),
+                       label="others")
+    cfg = replace(probe, sample_times=sorted(set(ties + others)))
+    expected = mask_observables(masks_at(snap.fill_times, cfg.sample_times), cfg)
+    assert snapshot_observables(snap, cfg).tobytes() == expected.tobytes()
 
 
 # -- estimates -----------------------------------------------------------------

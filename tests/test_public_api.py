@@ -66,7 +66,7 @@ PUBLIC_KNOBS = {
     "Motive": ("name", "description", "definition", "closed_form"),
     "RandomBallSource": ("dist", "radius", "buffer"),
     "RegularDensities": ("d", "D1", "D2", "D3"),
-    "ReplicaSnapshot": ("measured", "masks"),
+    "ReplicaSnapshot": ("measured", "fill_times"),
     "SeriesPoint": ("mean", "stderr", "n"),
     "SimConfig": ("sample_times", "replicas", "seed", "layers", "patterns", "measure"),
     "averaged_densities": ("dist",),
