@@ -235,10 +235,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         times = (float(horizon),)
     else:
         times = parse_grid(times_text)
-        if horizon is not None and not (0 < horizon < float("inf") and horizon >= times[-1]):
-            raise ValueError(
-                f"--T {horizon} must be positive, finite and >= the last time {times[-1]}"
-            )
+        if horizon is not None and not times[-1] <= horizon < float("inf"):
+            raise ValueError(f"--T {horizon} must be finite and >= the last time {times[-1]}")
     measure = spec.get("measure") or ("root" if kind == "random" else "interior")
     config = SimConfig(
         sample_times=times,

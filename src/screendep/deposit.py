@@ -34,7 +34,9 @@ depth arrival times decide every fill time.  They are drawn as a (depth, m)
 matrix of Exp(1) gaps and settled in depth passes over a padded neighbor
 table; a vertex that lands at a layer adds its next gap to take its next
 arrival.  The work does not grow with the sample times, so a run has no
-horizon to set: it ends at its last sample time.
+horizon to set: it ends at its last sample time.  Nor is the depth capped:
+the gaps take depth * m * 8 bytes, so the depth and the graph bound a
+replica's memory.
 
 T_k(v) reads the arrivals within distance k - 1 of v, and the fill time
 of layer k those within distance k: the lowest L layers at a vertex are
@@ -88,14 +90,12 @@ GraphLike = Union[GraphInstance, RandomBallSource]
 _GRAPH_STREAM = 0
 _ARRIVAL_STREAM = 1
 
-MAX_TRACKED_LAYERS = 32
-
 
 @dataclass(frozen=True)
 class SimConfig:
     """Run parameters for a deposition estimate.
 
-    sample_times must be positive, finite and strictly increasing; a run
+    sample_times must be >= 0, finite and strictly increasing; a run
     ends at the last of them, its horizon, since a replica's work does not
     depend on how long it runs.  replicas and layers are ints >= 1, seed >= 0.
     layers lists the single-layer densities to report; patterns are
@@ -115,12 +115,10 @@ class SimConfig:
         times, patterns = tuple(self.sample_times), tuple(self.patterns)
         if not all(isinstance(t, numbers.Real) and not isinstance(t, bool) for t in times):
             raise TypeError(f"sample times must be real numbers, got {times!r}")
-        if not all(isinstance(p, str) for p in patterns):
-            raise TypeError(f"patterns must be strings, got {patterns!r}")
+        if isinstance(self.patterns, str) or not all(isinstance(p, str) for p in patterns):
+            raise TypeError(f"patterns must be a sequence of strings, got {self.patterns!r}")
         times = tuple(float(t) for t in times)
         _check_times(times, f"sample time grid {times}")
-        if times[0] == 0:
-            raise ValueError(f"sample times must be positive, got {times}")
         object.__setattr__(self, "sample_times", times)
         object.__setattr__(self, "patterns", patterns)
         object.__setattr__(self, "layers", tuple(_count(k, "layers", 1) for k in self.layers))
@@ -134,8 +132,6 @@ class SimConfig:
             raise ValueError(f"layers must not repeat, got {self.layers}")
         if len(set(self.patterns)) < len(self.patterns):
             raise ValueError(f"patterns must not repeat, got {self.patterns}")
-        if self.depth > MAX_TRACKED_LAYERS:
-            raise ValueError(f"observables read layer {self.depth} > {MAX_TRACKED_LAYERS}")
         if self.measure not in ("interior", "root"):
             raise ValueError(f"measure must be 'interior' or 'root', got {self.measure!r}")
 

@@ -39,11 +39,14 @@ def _vertex_ids(ids, n: int, what: str) -> tuple[int, ...]:
     return ids
 
 
-def _depths(neighbors: tuple[tuple[int, ...], ...], root: int | None) -> tuple[int, ...]:
-    """Each vertex's distance from root, in one pass over the ids that also
-    checks the edge rule: each vertex is reached from an earlier one and
-    depth never decreases with the id, so the ids are in breadth-first
-    order.  Without a root every vertex counts as reached, at depth 0."""
+def _depths(neighbors: tuple[tuple[int, ...], ...], root: int | None) -> tuple[int, ...] | None:
+    """Each vertex's distance from root, None without one, in one pass over
+    the ids that also checks the edge rule: each vertex is reached from an
+    earlier one and depth never decreases with the id, so the ids are in
+    breadth-first order.  Without a root every vertex counts as reached.
+    The pass takes each neighbor id for an int in 0..n-1 and raises a
+    ValueError at the first that is not, which GraphInstance then names by
+    applying the one integer rule to every id."""
     n = len(neighbors)
     depth = [-1] * n if root is not None else [0] * n
     depth[root or 0] = 0
@@ -52,17 +55,16 @@ def _depths(neighbors: tuple[tuple[int, ...], ...], root: int | None) -> tuple[i
         if not below:
             raise ValueError(f"vertex {v} is not reached from root {root} by the ids before it")
         for u in nb:
-            if not 0 <= u < n or u == v or v not in neighbors[u]:
+            if type(u) is not int or not 0 <= u < n or u == v or v not in neighbors[u]:
                 raise ValueError(
-                    f"neighbor must be in 0..{n - 1}, got {u!r}" if not 0 <= u < n
-                    else f"vertex {v} lists itself as a neighbor" if u == v
+                    f"vertex {v} lists itself as a neighbor" if u == v
                     else f"vertex {v} lists {u} as a neighbor, but {u} does not list {v}")
             if depth[u] < 0:
                 depth[u] = below
     if depth != sorted(depth):
         v = next(v for v in range(1, n) if depth[v] < depth[v - 1])
         raise ValueError(f"vertex {v} follows a deeper one: number the ids breadth-first")
-    return tuple(depth)
+    return tuple(depth) if root is not None else None
 
 
 @dataclass(frozen=True)
@@ -72,8 +74,8 @@ class GraphInstance:
     Given: neighbors[v] lists the neighbors of vertex v, each edge at both
     ends and none from a vertex to itself; interior holds the vertex ids
     on which observables are averaged; root is a ball's center, None for
-    graphs without one (cycles).  Every id is in 0..n-1; interior, root and
-    a rootless graph's neighbor ids are ints by the one integer rule.
+    graphs without one (cycles).  Every id is an int in 0..n-1 by the one
+    integer rule.
     Derived: depth[v] is the distance from the root, None without one.  A
     rooted graph is connected and numbered breadth-first from its root, so
     depth never decreases with the id and a light cone is a prefix of ids.
@@ -93,14 +95,16 @@ class GraphInstance:
         if not self.interior:
             raise ValueError("interior vertex set is empty")
         object.__setattr__(self, "interior", _vertex_ids(self.interior, n, "interior vertex"))
-        if self.root is None:
+        if self.root is not None:
+            object.__setattr__(self, "root", _vertex_ids((self.root,), n, "root")[0])
+        try:  # the rows are kept as given when every id is an int
+            depth = _depths(self.neighbors, self.root)
+        except ValueError:  # apply the one integer rule to every id and pass again
             ids = iter(_vertex_ids(chain.from_iterable(self.neighbors), n, "neighbor"))
             rows = tuple(tuple(islice(ids, len(nb))) for nb in self.neighbors)
             object.__setattr__(self, "neighbors", rows)
-            _depths(rows, None)
-        else:
-            object.__setattr__(self, "root", _vertex_ids((self.root,), n, "root")[0])
-            object.__setattr__(self, "depth", _depths(self.neighbors, self.root))
+            depth = _depths(rows, self.root)
+        object.__setattr__(self, "depth", depth)
 
     @property
     def vertex_count(self) -> int:

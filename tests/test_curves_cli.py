@@ -207,6 +207,28 @@ def test_simulate_single_replica_json_is_strict(capsys):
     assert all(p["stderr"] is None for s in data["series"] for p in s["points"])
 
 
+def test_simulate_and_analytic_read_one_time_grid(capsys):
+    # a grid from t = 0 runs on both sides; at 0 the substrate is empty,
+    # and --T may equal the last sample time, 0 included
+    code, out, err = run_cli(
+        capsys, "simulate", "--graph", "cycle", "--n", "40", "--times", "0:0.5:1",
+        "--replicas", "5", "--seed", "1",
+    )
+    assert code == 0, err
+    simulated = DensityCurve.from_csv_text(out)
+    code, out, err = run_cli(capsys, "analytic", "--d", "2", "--grid", "0:0.5:1")
+    assert code == 0, err
+    assert simulated.times == DensityCurve.from_csv_text(out).times == (0.0, 0.5, 1.0)
+    for name in simulated.observables():
+        start = simulated.get(name)[0]
+        assert (start.mean, start.stderr) == (0.0, 0.0)
+    code, out, err = run_cli(
+        capsys, "simulate", "--graph", "cycle", "--n", "40", "--T", "0", "--times", "0",
+    )
+    assert code == 0, err
+    assert DensityCurve.from_csv_text(out).times == (0.0,)
+
+
 def test_cycle_stream_is_pinned(capsys):
     # README's cycle example, shrunk: a change to the arrival sampling on
     # cycles changes these bytes, so it has to be deliberate
@@ -351,13 +373,16 @@ def test_simulate_usage_errors(capsys, argv):
         (("--n", "3", "--layers", "1"), 0, ""),
         (("--n", "4"), 2, "cycle(n=4) is too small for layer 2: needs n >= 5"),
         (("--n", "2", "--layers", "1"), 2, "n must be >= 3, got 2"),
+        (("--n", "81", "--layers", "1,40"), 0, ""),
+        (("--n", "80", "--layers", "1,40"), 2, "needs n >= 81"),
     ],
-    ids=["triangle_layer1", "square_layer2", "two_vertices"],
+    ids=["triangle_layer1", "square_layer2", "two_vertices", "layer40", "layer40_too_small"],
 )
 def test_simulate_sizes_a_cycle_by_its_light_cone(capsys, argv, code, named):
-    # a run reading L layers needs 2L + 1 vertices, and a cycle needs 3.  On
-    # the triangle every closed neighborhood is the whole graph, so layer 1
-    # holds exactly (1 - e^{-3t}) / 3, as on the infinite line
+    # a run reading L layers needs 2L + 1 vertices, and a cycle needs 3; no
+    # cap on L.  On the triangle every closed neighborhood is the whole
+    # graph, so layer 1 holds exactly (1 - e^{-3t}) / 3; on a cycle that
+    # holds the light cone, it is the infinite line's rho1
     got, out, err = run_cli(
         capsys, "simulate", "--graph", "cycle", *argv, "--times", "1",
         "--replicas", "400", "--seed", "3",
@@ -366,7 +391,8 @@ def test_simulate_sizes_a_cycle_by_its_light_cone(capsys, argv, code, named):
     assert named in err
     if code == 0:
         (point,) = DensityCurve.from_csv_text(out).get("layer:1")
-        assert abs(point.mean - (1 - math.exp(-3)) / 3) <= 3 * point.stderr
+        exact = (1 - math.exp(-3)) / 3 if argv[1] == "3" else regular_densities(2).rho1.eval(1)
+        assert abs(point.mean - exact) <= 3 * point.stderr
 
 
 @pytest.mark.parametrize(

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from screendep import deposit
 from screendep.degree import DegreeDistribution
 from screendep.deposit import (
-    MAX_TRACKED_LAYERS,
     SimConfig,
     _arrival_gaps,
     _cone_arrays,
@@ -113,16 +112,16 @@ def test_reach_is_the_deepest_level_a_measured_cone_reads(radius, buffer, observ
     [
         {"sample_times": (-1.0,)},
         {"sample_times": ()},
-        {"sample_times": (0.0, 1.0)},
+        {"sample_times": (-0.5, 1.0)},
         {"sample_times": (1.0, 1.0)},
         {"sample_times": (2.0, 1.0)},
         {"sample_times": (1.0, math.inf)},
         {"sample_times": (1.0,), "replicas": 0},
         {"sample_times": (1.0,), "seed": -1},
-        {"sample_times": (1.0,), "layers": (MAX_TRACKED_LAYERS + 1,)},
+        {"sample_times": (1.0,), "layers": (-1,)},
         {"sample_times": (1.0,), "layers": (), "patterns": ()},
         {"sample_times": (1.0,), "layers": (0, 1)},
-        {"sample_times": (1.0,), "patterns": ("0" * (MAX_TRACKED_LAYERS + 1),)},
+        {"sample_times": (1.0,), "patterns": ("",)},
         {"sample_times": (1.0,), "patterns": ("01x1",)},
         {"sample_times": (1.0,), "measure": "leaves"},
         {"sample_times": (math.nan, 1.0)},
@@ -133,8 +132,8 @@ def test_reach_is_the_deepest_level_a_measured_cone_reads(radius, buffer, observ
         {"sample_times": (1.0,), "seed": np.int64(-1)},
         {"sample_times": (1.0,), "layers": (np.int64(0),)},
         {"sample_times": (1.0,), "replicas": np.int64(0)},
-        # the one time-grid rule, with sample times also > 0
-        {"sample_times": (0.0,)},
+        # the one time-grid rule; time 0 is allowed, but only once
+        {"sample_times": (0.0, 0.0)},
         {"sample_times": (1.0, -1.0)},
         {"sample_times": (-1.0, math.inf)},
         {"sample_times": (1.0,), "layers": (2, 2)},
@@ -178,10 +177,14 @@ def test_config_names_the_repeated_observable(kwargs, named):
         {"layers": (True,)},
         {"replicas": 2.5},
         {"replicas": "3"},
+        # a bare string is one word, not a sequence of one-letter words
+        {"patterns": "01"},
+        {"patterns": "0101"},
     ],
 )
 def test_config_refuses_a_wrong_type(kwargs):
-    with pytest.raises(TypeError):
+    (knob,) = kwargs
+    with pytest.raises(TypeError, match=knob.replace("_", " ")):
         SimConfig(**{"sample_times": (1.0,), **kwargs})
 
 
@@ -253,7 +256,7 @@ def test_settlements_conform_to_transition_rates(graph, horizon, observed):
         assert undrawn >= settled / 2, (undrawn, settled)
 
 
-@pytest.mark.parametrize("depth", [1, 2, 3, 5])
+@pytest.mark.parametrize("depth", [1, 2, 3, 5, 40])
 @pytest.mark.parametrize(
     "build",
     [
@@ -537,12 +540,22 @@ def test_masks_stay_below_depth():
     cfg = SimConfig(sample_times=(12.0,), layers=(1, 2))
     snap = run_replica(g, cfg, rng=2)
     arrivals = _continued(_arrivals(30, cfg.depth, 2), cfg.horizon, np.random.default_rng(3))
-    untruncated = SimConfig(sample_times=(12.0,), layers=(MAX_TRACKED_LAYERS,))
+    untruncated = SimConfig(sample_times=(12.0,), layers=(32,))
     deep, deep_filled = replay(g, untruncated, arrivals)
     assert snap.fill_times.shape == (cfg.depth, 30)
     assert np.count_nonzero(deep >= 1 << cfg.depth) > 10
     assert np.array_equal(masks_at(snap.fill_times, cfg.sample_times), deep & 3)
     assert np.array_equal(_by(snap.fill_times, cfg.horizon), deep_filled[:cfg.depth])
+
+
+def test_time_zero_is_the_empty_substrate():
+    # no arrival comes at t = 0, so every layer is empty and every word of
+    # zeros holds, in every replica
+    cfg = SimConfig(sample_times=(0.0, 1.0), layers=(1,), patterns=("0",))
+    curve = estimate_densities(build_cycle(30), cfg)
+    layer, pattern = curve.get("layer:1")[0], curve.get("pattern:0")[0]
+    assert (layer.mean, layer.stderr) == (0.0, 0.0)
+    assert (pattern.mean, pattern.stderr) == (1.0, 0.0)
 
 
 def test_small_cycle_is_rejected():

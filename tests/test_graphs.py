@@ -5,6 +5,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from screendep.degree import DegreeDistribution, make_regular
@@ -162,8 +163,8 @@ PATH3 = ((1,), (0, 2), (1,))
         (((1,), (0,), ()), 0, "vertex 2 is not reached from root 0"),
         (((1, 3), (0, 2), (1,), (0,)), 0, "vertex 3 follows a deeper one"),
         (((1,), (0,)), 1, "vertex 0 is not reached from root 1"),
-        (((1,), (0, -1)), 0, r"neighbor must be in 0\.\.1, got -1"),
-        (((1,), (0, 2)), 0, r"neighbor must be in 0\.\.1, got 2"),
+        (((1,), (0, -1)), 0, "neighbor must be >= 0, got -1"),
+        (((1,), (0, 2)), 0, "neighbor must be < 2, got 2"),
         (((0, 1), (0,)), None, "vertex 0 lists itself as a neighbor"),
         (((0, 1), (0,)), 0, "vertex 0 lists itself as a neighbor"),
         (((1,), ()), None, "vertex 0 lists 1 as a neighbor, but 1 does not list 0"),
@@ -231,6 +232,32 @@ def test_vertex_ids_are_ints_in_range(change, error):
     pair = GraphInstance(kind="x", neighbors=((1,), (0,)), interior=(0, 1))
     with pytest.raises(error):
         replace(pair, **change)
+
+
+def _outcome(neighbors, root):
+    """The error a graph on these rows raises, or the types and the values
+    of the neighbor ids it stores."""
+    try:
+        g = GraphInstance(kind="x", neighbors=neighbors, interior=(0,), root=root)
+    except (TypeError, ValueError) as error:
+        return type(error), str(error)
+    return tuple(tuple(map(type, nb)) for nb in g.neighbors), g.neighbors
+
+
+@pytest.mark.parametrize(
+    "x",
+    [True, 1.0, 1.5, "0", -1, 2, np.int64(0), np.int64(1)],
+    ids=["bool", "float_1", "float_1.5", "str", "negative", "past_n", "numpy_0", "numpy_1"],
+)
+@pytest.mark.parametrize("row", [0, 1], ids=["first_row", "second_row"])
+def test_rooted_and_rootless_graphs_read_neighbor_ids_alike(x, row):
+    # a rooted graph checks its neighbor ids in the pass that derives its
+    # depths; an id that is not an int gets the same error as in a rootless
+    # graph, and a numpy int is stored as an int
+    neighbors = ((x,), (0,)) if row == 0 else ((1,), (x,))
+    rootless, rooted = _outcome(neighbors, None), _outcome(neighbors, 0)
+    assert rooted == rootless
+    assert rooted[0] in (TypeError, ValueError, ((int,), (int,)))
 
 
 def test_random_ball_is_a_tree_with_drawn_degrees():
