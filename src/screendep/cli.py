@@ -178,7 +178,10 @@ def _parse_patterns(text: str) -> tuple[str, ...]:
     text = text.strip()
     if not text:
         return ()
-    return tuple(p.strip() for p in text.split(",") if p.strip())
+    words = tuple(p.strip() for p in text.split(","))
+    if not all(words):
+        raise ValueError(f"patterns {text!r} has an empty entry")
+    return words
 
 
 def _write(text: str, out: str) -> None:
@@ -247,7 +250,10 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         measure=measure,
     )
     if kind == "cycle":
-        graph = build_cycle(spec["n"])
+        # a light cone, the 2L + 1 vertices within distance L, must not wrap around
+        graph, need = build_cycle(spec["n"]), 2 * config.depth + 1
+        if graph.vertex_count < need:
+            raise ValueError(f"{graph.label} is too small for layer {config.depth}: needs n >= {need}")
     else:
         spec["buffer"] = _ball_buffer(spec["radius"], spec.get("buffer"), config)
         if kind == "regular":

@@ -90,17 +90,18 @@ def parse_atoms(text: str) -> DegreeDistribution:
 
     The law is taken as written, as from_pairs takes it: each degree
     appears once, each weight is positive, and the weights sum to exactly 1.
+    An empty entry between commas is an error, not skipped.
     """
+    if not text.strip():
+        raise ValueError(f"no atoms found in {text!r}")
     pairs = []
     for chunk in text.split(","):
         chunk = chunk.strip()
         if not chunk:
-            continue
+            raise ValueError(f"atoms {text!r} has an empty entry")
         try:
             deg_s, weight_s = chunk.split(":")
             pairs.append((int(deg_s), Fraction(weight_s)))
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"bad atom {chunk!r}: expected 'degree:weight'") from exc
-    if not pairs:
-        raise ValueError(f"no atoms found in {text!r}")
     return DegreeDistribution.from_pairs(pairs)

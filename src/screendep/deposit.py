@@ -49,11 +49,12 @@ never reaches a layer: its T_k is infinite.  So a fixed ball need only
 be built down to the deepest level a measured cone reads
 (SimConfig.reach), as the CLI builds a regular ball; it goes to the
 replicas as given, with its neighbor table over the prefix built once.
-The fill times are those of the finite ball; they are infinite-tree
-marginals when every measured light cone lies inside it, that is when the
-buffer is at least depth for interior vertices, or the radius at least
-depth for the root.  The CLI derives such a buffer; this module takes the
-ball as given.
+The fill times are the exact ones of the finite graph given.  They are
+marginals of the infinite line or tree it stands for when every measured
+light cone fits inside it: on a cycle when n >= 2 * depth + 1, so no cone
+wraps around, and on a ball when the buffer is at least depth for interior
+vertices, or the radius at least depth for the root.  The CLI checks the
+cycle and derives such a buffer; this module settles the graph as given.
 
 The replicas run in contiguous blocks, one per worker: of R replicas on
 w workers, block i holds replicas R * i // w to R * (i + 1) // w - 1.
@@ -91,6 +92,14 @@ _GRAPH_STREAM = 0
 _ARRIVAL_STREAM = 1
 
 
+def _sequence(values, what: str) -> tuple:
+    """values as a tuple; a value that is not a sequence is a TypeError naming what."""
+    try:
+        return tuple(values)
+    except TypeError:
+        raise TypeError(f"{what} must be a sequence, got {values!r}") from None
+
+
 @dataclass(frozen=True)
 class SimConfig:
     """Run parameters for a deposition estimate.
@@ -112,7 +121,8 @@ class SimConfig:
     measure: str = "interior"
 
     def __post_init__(self):
-        times, patterns = tuple(self.sample_times), tuple(self.patterns)
+        times = _sequence(self.sample_times, "sample times")
+        patterns = _sequence(self.patterns, "patterns")
         if not all(isinstance(t, numbers.Real) and not isinstance(t, bool) for t in times):
             raise TypeError(f"sample times must be real numbers, got {times!r}")
         if isinstance(self.patterns, str) or not all(isinstance(p, str) for p in patterns):
@@ -121,7 +131,8 @@ class SimConfig:
         _check_times(times, f"sample time grid {times}")
         object.__setattr__(self, "sample_times", times)
         object.__setattr__(self, "patterns", patterns)
-        object.__setattr__(self, "layers", tuple(_count(k, "layers", 1) for k in self.layers))
+        layers = _sequence(self.layers, "layers")
+        object.__setattr__(self, "layers", tuple(_count(k, "layers", 1) for k in layers))
         object.__setattr__(self, "replicas", _count(self.replicas, "replicas", 1))
         object.__setattr__(self, "seed", _count(self.seed, "seed"))
         if not all(p and set(p) <= {"0", "1"} for p in patterns):
@@ -251,20 +262,14 @@ def _settle_layers(table: np.ndarray, gaps: np.ndarray, measured: np.ndarray) ->
 
 def _replica_setup(graph: GraphInstance, config: SimConfig):
     """The measured ids that config.measure names on graph, and the cached
-    _cone_arrays over their light cone.  A cycle must have at least
-    2 * depth + 1 vertices: on a smaller one the cone wraps onto itself."""
-    depth = config.depth
-    if graph.kind == "cycle" and graph.vertex_count < 2 * depth + 1:
-        raise ValueError(
-            f"{graph.label} is too small for layer {depth}: needs n >= {2 * depth + 1}"
-        )
+    _cone_arrays over their light cone."""
     if config.measure == "interior":
         measured = graph.interior
     elif graph.root is None:
         raise ValueError(f"graph {graph.label!r} has no root to measure")
     else:
         measured = (graph.root,)
-    table, index = _cone_arrays(graph, _light_cone(graph, measured, depth), measured)
+    table, index = _cone_arrays(graph, _light_cone(graph, measured, config.depth), measured)
     return measured, table, index
 
 

@@ -81,7 +81,6 @@ class GraphInstance:
     depth never decreases with the id and a light cone is a prefix of ids.
     """
 
-    kind: str
     neighbors: tuple[tuple[int, ...], ...]
     interior: tuple[int, ...]
     root: int | None = None
@@ -114,15 +113,10 @@ class GraphInstance:
 def build_cycle(n: int) -> GraphInstance:
     """Cycle on n >= 3 vertices, the smallest simple cycle; every vertex
     is interior.  How large a cycle a run needs depends on the layers it
-    reads, so run_replica checks that (n >= 2L + 1)."""
+    reads, so simulate checks that (n >= 2L + 1)."""
     n = _count(n, "n", 3)
     neighbors = tuple(((v - 1) % n, (v + 1) % n) for v in range(n))
-    return GraphInstance(
-        kind="cycle",
-        neighbors=neighbors,
-        interior=tuple(range(n)),
-        label=f"cycle(n={n})",
-    )
+    return GraphInstance(neighbors=neighbors, interior=tuple(range(n)), label=f"cycle(n={n})")
 
 
 def _ball_label(kind: str, params: str, radius: int, buffer: int) -> str:
@@ -160,7 +154,6 @@ def _grow_ball(
                 adj.append([v])
         sizes.append(len(adj))
     return GraphInstance(
-        kind=kind,
         neighbors=tuple(tuple(nb) for nb in adj),
         interior=tuple(range(sizes[min(radius - buffer, reach) + 1])),
         root=0,

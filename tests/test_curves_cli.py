@@ -367,6 +367,38 @@ def test_simulate_usage_errors(capsys, argv):
     assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
+_CYCLE = ("simulate", "--graph", "cycle", "--n", "40", "--times", "1")
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        ((*_CYCLE, "--patterns", "0101,,"), "patterns '0101,,' has an empty entry"),
+        ((*_CYCLE, "--patterns", ",,"), "patterns ',,' has an empty entry"),
+        (("simulate", "--graph", "random", "--atoms", "2:1/2,,3:1/2", "--R", "4", "--times", "1"),
+         "atoms '2:1/2,,3:1/2' has an empty entry"),
+        (("compare", "--theorem", "4", "--s-atoms", ",2:1,", "--t-atoms", "3:1"),
+         "atoms ',2:1,' has an empty entry"),
+        (("compare", "--theorem", "4", "--s-atoms", "2:1", "--t-atoms", "3:1,"),
+         "atoms '3:1,' has an empty entry"),
+    ],
+    ids=["patterns", "patterns_only_commas", "atoms", "s_atoms", "t_atoms"],
+)
+def test_an_empty_comma_entry_is_a_usage_error(capsys, argv, named):
+    # a pattern list or a degree law refuses an empty entry and names
+    # itself, as --layers and --times do, rather than dropping the entry and
+    # echoing the list as given into the metadata
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert named in err
+
+
+def test_a_blank_pattern_list_means_none(capsys):
+    code, out, err = run_cli(capsys, *_CYCLE, "--patterns", "", "--replicas", "2")
+    assert code == 0, err
+    assert DensityCurve.from_csv_text(out).observables() == ("layer:1", "layer:2")
+
+
 @pytest.mark.parametrize(
     "argv, code, named",
     [

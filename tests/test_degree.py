@@ -105,6 +105,8 @@ def test_parse_atoms():
         # the law is taken as written: no normalization, no merging
         "2:1/3,3:1/3", "2:1,3:1", "2:1/2,2:1/2", "3:1/4,2:1/2,3:1/4", "2:0,3:1",
         "2:-1/2,3:3/2",
+        # an empty entry is an error, not skipped
+        "2:1/2,,3:1/2", ",2:1,", "2:1,",
     ],
 )
 def test_parse_atoms_errors(text):

@@ -180,6 +180,11 @@ def test_config_names_the_repeated_observable(kwargs, named):
         # a bare string is one word, not a sequence of one-letter words
         {"patterns": "01"},
         {"patterns": "0101"},
+        # a scalar where a sequence belongs is named before anything is read
+        {"sample_times": 1.0},
+        {"layers": 3},
+        {"patterns": None},
+        {"layers": None},
     ],
 )
 def test_config_refuses_a_wrong_type(kwargs):
@@ -261,17 +266,19 @@ def test_settlements_conform_to_transition_rates(graph, horizon, observed):
     "build",
     [
         lambda seed: build_cycle(150),
+        lambda seed: build_cycle(4),
         lambda seed: build_regular_ball(3, radius=6, buffer=2),
         lambda seed: build_random_ball(WIDE, radius=5, buffer=2, rng=seed),
     ],
-    ids=["cycle", "regular_ball", "random_ball"],
+    ids=["cycle", "cycle4", "regular_ball", "random_ball"],
 )
 def test_first_passage_kernel_equals_the_event_replay(build, depth):
     # each vertex draws depth + 6 arrivals: the replay settles all of them
     # one event at a time, the kernel reads only the first depth gaps, one
     # layer per pass.  Every vertex's masks must be equal at every sample
     # time, the last of them long after the lowest layers have jammed, and
-    # so must every fill time up to it, to the bit.
+    # so must every fill time up to it, to the bit.  On cycle(4) every
+    # light cone past layer 1 wraps around the cycle.
     cfg = SimConfig(sample_times=(0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 30.0),
                     layers=(depth,))
     for seed in range(25):
@@ -421,7 +428,6 @@ def test_ball_cut_to_its_light_cone_gives_the_same_masks(measure, observed, cone
     m = _light_cone(ball, measured, cfg.depth)
     assert m == cones[measure]
     cut = GraphInstance(
-        kind=ball.kind,
         neighbors=tuple(tuple(u for u in nb if u < m) for nb in ball.neighbors[:m]),
         interior=tuple(v for v in ball.interior if v < m),
         root=ball.root,
@@ -558,12 +564,18 @@ def test_time_zero_is_the_empty_substrate():
     assert (pattern.mean, pattern.stderr) == (1.0, 0.0)
 
 
-def test_small_cycle_is_rejected():
-    # a cycle shorter than the depth-L light cone, 2L + 1 vertices, wraps around
+def test_small_cycle_is_settled_as_given():
+    # the library settles the finite graph it is given: on a cycle shorter
+    # than the depth-L light cone, 2L + 1 vertices, the cone wraps around and
+    # the fill times are the small cycle's own, the replay's to the bit.
+    # Only simulate asks a cycle for n >= 2L + 1
     cfg = SimConfig(sample_times=(1.0,), layers=(3,))
-    with pytest.raises(ValueError, match="n >= 7"):
-        run_replica(build_cycle(6), cfg, rng=0)
-    assert run_replica(build_cycle(7), cfg, rng=0).fill_times.shape == (3, 7)
+    assert run_replica(build_cycle(6), cfg, rng=0).fill_times.shape == (3, 6)
+    graph, late = build_cycle(4), replace(cfg, sample_times=(30.0,))
+    for seed in range(10):
+        _, filled = replay(graph, late, _arrivals(4, late.depth + 6, seed))
+        snap = run_replica(graph, late, rng=seed)
+        assert np.array_equal(_by(snap.fill_times, late.horizon), filled), seed
 
 
 def test_measured_override():

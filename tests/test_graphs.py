@@ -42,7 +42,7 @@ def test_cycle_structure():
 
 
 def test_cycle_minimum_size():
-    # the smallest simple cycle; how large a run needs is run_replica's rule
+    # the smallest simple cycle; how large a run needs is simulate's rule
     with pytest.raises(ValueError, match="n must be >= 3"):
         build_cycle(2)
     assert build_cycle(3).neighbors == ((2, 1), (0, 2), (1, 0))
@@ -147,11 +147,11 @@ def test_ball_grown_to_a_reach_is_a_prefix_of_the_whole_ball(d, radius, buffer, 
 
 def test_graph_instance_validation():
     with pytest.raises(ValueError):
-        GraphInstance(kind="x", neighbors=((1,), (0,)), interior=())
+        GraphInstance(neighbors=((1,), (0,)), interior=())
     with pytest.raises(ValueError):
-        GraphInstance(kind="x", neighbors=((1,), (0,)), interior=(5,))
+        GraphInstance(neighbors=((1,), (0,)), interior=(5,))
     with pytest.raises(ValueError):
-        GraphInstance(kind="x", neighbors=((1,), (0,)), interior=(0,), root=9)
+        GraphInstance(neighbors=((1,), (0,)), interior=(0,), root=9)
 
 
 PATH3 = ((1,), (0, 2), (1,))
@@ -182,11 +182,11 @@ def test_depth_is_validated(neighbors, root, message):
     # connected graph numbered breadth-first from its root; every graph
     # lists each edge at both ends and no vertex as its own neighbor
     with pytest.raises(ValueError, match=message):
-        GraphInstance(kind="x", neighbors=neighbors, interior=(0,), root=root)
-    assert GraphInstance(kind="x", neighbors=PATH3, interior=(0,), root=0).depth == (0, 1, 2)
-    assert GraphInstance(kind="x", neighbors=PATH3, interior=(0,)).depth is None
+        GraphInstance(neighbors=neighbors, interior=(0,), root=root)
+    assert GraphInstance(neighbors=PATH3, interior=(0,), root=0).depth == (0, 1, 2)
+    assert GraphInstance(neighbors=PATH3, interior=(0,)).depth is None
     with pytest.raises(TypeError, match="depth"):
-        GraphInstance(kind="x", neighbors=PATH3, interior=(0,), root=0, depth=(0, 1, 2))
+        GraphInstance(neighbors=PATH3, interior=(0,), root=0, depth=(0, 1, 2))
 
 
 def _grown_levels(g: GraphInstance) -> tuple[int, ...]:
@@ -229,7 +229,7 @@ def test_ball_depth_is_the_level_it_was_grown_at(build):
 def test_vertex_ids_are_ints_in_range(change, error):
     # a float or bool id is not read as a vertex, and a neighbor id outside
     # the graph does not become the simulator's never-reaching sentinel
-    pair = GraphInstance(kind="x", neighbors=((1,), (0,)), interior=(0, 1))
+    pair = GraphInstance(neighbors=((1,), (0,)), interior=(0, 1))
     with pytest.raises(error):
         replace(pair, **change)
 
@@ -238,7 +238,7 @@ def _outcome(neighbors, root):
     """The error a graph on these rows raises, or the types and the values
     of the neighbor ids it stores."""
     try:
-        g = GraphInstance(kind="x", neighbors=neighbors, interior=(0,), root=root)
+        g = GraphInstance(neighbors=neighbors, interior=(0,), root=root)
     except (TypeError, ValueError) as error:
         return type(error), str(error)
     return tuple(tuple(map(type, nb)) for nb in g.neighbors), g.neighbors

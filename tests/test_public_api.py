@@ -62,7 +62,7 @@ PUBLIC_KNOBS = {
     "DegreeDistribution": ("atoms",),
     "DensityCurve": ("times", "series", "meta"),
     "ExpPoly": ("terms",),
-    "GraphInstance": ("kind", "neighbors", "interior", "root", "label"),
+    "GraphInstance": ("neighbors", "interior", "root", "label"),
     "Motive": ("name", "description", "definition", "closed_form"),
     "RandomBallSource": ("dist", "radius", "buffer"),
     "RegularDensities": ("d", "D1", "D2", "D3"),
@@ -93,7 +93,7 @@ PUBLIC_KNOBS = {
 
 
 def _pair(**change) -> GraphInstance:
-    return GraphInstance(**{"kind": "x", "neighbors": ((1,), (0,)), "interior": (0,), **change})
+    return GraphInstance(**{"neighbors": ((1,), (0,)), "interior": (0,), **change})
 
 
 ONE_REPLICA = SimConfig((1.0,), replicas=1, layers=(1,))
