@@ -16,10 +16,10 @@ from ._version import __version__
 from .acceptance import DEFAULT_SEED, AcceptanceSuite
 from .analytic import averaged_densities, regular_densities
 from .compare import check_gf_dominance, check_jensen, check_layer_dominance
-from .curves import DensityCurve, curve_from_exact, parse_grid
+from .curves import DensityCurve, _check_times, curve_from_exact, parse_grid
 from .degree import parse_atoms
 from .deposit import SimConfig, estimate_densities
-from .exppoly import TermBudgetError
+from .exppoly import TermBudgetError, _comma_list
 from .graphs import RandomBallSource, build_cycle, build_regular_ball
 from .motives import pattern_system, system_json
 
@@ -165,23 +165,11 @@ def _check_file_value(key: str, value, action: argparse.Action) -> None:
 
 
 def _parse_layers(text: str) -> tuple[int, ...]:
-    text = text.strip()
-    if not text:
-        return ()
+    entries = _comma_list(text, "layers")
     try:
-        return tuple(int(p) for p in text.split(","))
+        return tuple(map(int, entries))
     except ValueError:
-        raise ValueError(f"layers must be a comma list of integers, got {text!r}") from None
-
-
-def _parse_patterns(text: str) -> tuple[str, ...]:
-    text = text.strip()
-    if not text:
-        return ()
-    words = tuple(p.strip() for p in text.split(","))
-    if not all(words):
-        raise ValueError(f"patterns {text!r} has an empty entry")
-    return words
+        raise ValueError(f"layers {text!r} has an entry that is not an integer") from None
 
 
 def _write(text: str, out: str) -> None:
@@ -236,8 +224,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         raise ValueError("simulate needs --times and/or --T")
     if times_text is None:
         times = (float(horizon),)
+        _check_times(times, f"--T {horizon}")
     else:
-        times = parse_grid(times_text)
+        times = parse_grid(times_text, "times")
         if horizon is not None and not times[-1] <= horizon < float("inf"):
             raise ValueError(f"--T {horizon} must be finite and >= the last time {times[-1]}")
     measure = spec.get("measure") or ("root" if kind == "random" else "interior")
@@ -246,7 +235,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         replicas=spec["replicas"],
         seed=spec["seed"],
         layers=_parse_layers(spec["layers"]),
-        patterns=_parse_patterns(spec["patterns"]),
+        patterns=_comma_list(spec["patterns"], "patterns"),
         measure=measure,
     )
     if kind == "cycle":
@@ -277,7 +266,7 @@ def cmd_analytic(args: argparse.Namespace) -> int:
     spec, _ = _merge_config(args, {"grid": "0.25:0.25:10", "format": "csv", "out": "-"})
     if (spec.get("d") is None) == (spec.get("atoms") is None):
         raise ValueError("analytic needs exactly one of --d or --atoms")
-    grid = parse_grid(spec["grid"])
+    grid = parse_grid(spec["grid"], "grid")
     if spec.get("d") is not None:
         rd = regular_densities(spec["d"])
         forms = [("layer:1", rd.rho1), ("layer:2", rd.rho2)]
@@ -306,7 +295,7 @@ def cmd_motives(args: argparse.Namespace) -> int:
         why = "motives --grid" if spec.get("grid") else "motives --format json"
         _reject_unread("motives", given, ("show_closed_form",), why)
     if spec.get("grid"):
-        grid = parse_grid(spec["grid"])
+        grid = parse_grid(spec["grid"], "grid")
         meta = {
             "graph": "line",
             "version": __version__,

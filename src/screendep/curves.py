@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence, Union
 
-from .exppoly import ExpPoly
+from .exppoly import ExpPoly, _comma_list
 
 CSV_COLUMNS = "time,observable,mean,stderr,n"
 
@@ -154,19 +154,21 @@ def curve_from_exact(
     return DensityCurve(times=times, series=series, meta=base)
 
 
-def parse_grid(text: str) -> tuple[float, ...]:
-    """Parse a time grid: either 'start:step:stop' or a comma list '0.5,1,2'."""
+def parse_grid(text: str, what: str) -> tuple[float, ...]:
+    """Parse a time grid named what in errors: 'start:step:stop', or a comma
+    list '0.5,1,2' read by _comma_list; either form then passes _check_times."""
     text = text.strip()
+    entries = text.split(":") if ":" in text else _comma_list(text, what)
     try:
-        values = tuple(float(p) for p in text.split(":" if ":" in text else ","))
+        values = tuple(map(float, entries))
     except ValueError:
-        raise ValueError(f"grid {text!r} has an entry that is not a number") from None
+        raise ValueError(f"{what} {text!r} has an entry that is not a number") from None
     if ":" in text:
         if len(values) != 3:
-            raise ValueError(f"grid {text!r} must be start:step:stop")
+            raise ValueError(f"{what} {text!r} must be start:step:stop")
         start, step, stop = values
         if not (0 < step < math.inf and -math.inf < start <= stop < math.inf):
-            raise ValueError(f"bad grid bounds in {text!r}")
+            raise ValueError(f"bad {what} bounds in {text!r}")
         out = []
         k = 0
         while True:
@@ -176,5 +178,5 @@ def parse_grid(text: str) -> tuple[float, ...]:
             out.append(round(t, 12))
             k += 1
         values = tuple(out)
-    _check_times(values, f"grid {text!r}")
+    _check_times(values, f"{what} {text!r}")
     return values

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Union
 
-from .exppoly import _count
+from .exppoly import _comma_list, _count
 
 WeightLike = Union[int, str, Fraction]
 
@@ -92,13 +92,11 @@ def parse_atoms(text: str) -> DegreeDistribution:
     appears once, each weight is positive, and the weights sum to exactly 1.
     An empty entry between commas is an error, not skipped.
     """
-    if not text.strip():
+    chunks = _comma_list(text, "atoms")
+    if not chunks:
         raise ValueError(f"no atoms found in {text!r}")
     pairs = []
-    for chunk in text.split(","):
-        chunk = chunk.strip()
-        if not chunk:
-            raise ValueError(f"atoms {text!r} has an empty entry")
+    for chunk in chunks:
         try:
             deg_s, weight_s = chunk.split(":")
             pairs.append((int(deg_s), Fraction(weight_s)))

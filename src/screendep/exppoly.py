@@ -61,6 +61,16 @@ def _count(x: int, what: str, least: int = 0) -> int:
     return x
 
 
+def _comma_list(text: str, what: str) -> tuple[str, ...]:
+    """The one rule for every comma list the CLI reads: its entries, each
+    stripped; () for a blank list; an empty entry is an error."""
+    text = text.strip()
+    entries = tuple(p.strip() for p in text.split(",")) if text else ()
+    if not all(entries):
+        raise ValueError(f"{what} {text!r} has an empty entry")
+    return entries
+
+
 def _json_text(x: str, what: str) -> str:
     """A rate or coefficient as to_json_dict writes it: a string."""
     if not isinstance(x, str):

@@ -144,29 +144,29 @@ def test_curve_from_exact():
 
 
 def test_parse_grid():
-    assert parse_grid("1,2,5") == (1.0, 2.0, 5.0)
-    assert parse_grid("0.5:0.5:2") == (0.5, 1.0, 1.5, 2.0)
-    assert parse_grid("1:1:1") == (1.0,)
+    assert parse_grid("1,2,5", "grid") == (1.0, 2.0, 5.0)
+    assert parse_grid("0.5:0.5:2", "grid") == (0.5, 1.0, 1.5, 2.0)
+    assert parse_grid("1:1:1", "grid") == (1.0,)
     with pytest.raises(ValueError):
-        parse_grid("1:2")
+        parse_grid("1:2", "grid")
     with pytest.raises(ValueError):
-        parse_grid("1:0:5")
+        parse_grid("1:0:5", "grid")
     with pytest.raises(ValueError):
-        parse_grid("5:1:1")
+        parse_grid("5:1:1", "grid")
     for bad in ("nan", "0.5,inf", "0:nan:1", "0:0.5:inf"):
         with pytest.raises(ValueError):
-            parse_grid(bad)
-    # a grid that is not numbers names itself, not the empty entry
+            parse_grid(bad, "grid")
+    # a grid with an empty or non-number entry names itself
     for bad in ("1,,2", "1:x:2"):
         with pytest.raises(ValueError, match=re.escape(repr(bad))):
-            parse_grid(bad)
+            parse_grid(bad, "grid")
     # so does one out of order or below zero
     for bad in ("2,1", "1,1"):
         with pytest.raises(ValueError, match=re.escape(f"grid {bad!r} is not strictly increasing")):
-            parse_grid(bad)
+            parse_grid(bad, "grid")
     for bad in ("-1,1", "-1:1:2"):
         with pytest.raises(ValueError, match=re.escape(f"grid {bad!r} has a negative time")):
-            parse_grid(bad)
+            parse_grid(bad, "grid")
 
 
 # -- command line -----------------------------------------------------------------
@@ -381,13 +381,33 @@ _CYCLE = ("simulate", "--graph", "cycle", "--n", "40", "--times", "1")
          "atoms ',2:1,' has an empty entry"),
         (("compare", "--theorem", "4", "--s-atoms", "2:1", "--t-atoms", "3:1,"),
          "atoms '3:1,' has an empty entry"),
+        ((*_CYCLE[:-2], "--times", "1,,2"), "times '1,,2' has an empty entry"),
+        (("analytic", "--d", "3", "--grid", "1,,2"), "grid '1,,2' has an empty entry"),
+        (("motives", "--grid", "1,,2"), "grid '1,,2' has an empty entry"),
+        ((*_CYCLE, "--layers", "1,,2"), "layers '1,,2' has an empty entry"),
+        ((*_CYCLE[:-2], "--config", {"times": "1,,2"}), "times '1,,2' has an empty entry"),
+        ((*_CYCLE, "--layers", "1,x"), "layers '1,x' has an entry that is not an integer"),
+        ((*_CYCLE[:-2], "--times", "1,x"), "times '1,x' has an entry that is not a number"),
+        ((*_CYCLE[:-2], "--times", ""), "times '' has no time"),
+        ((*_CYCLE[:-2], "--T", "inf"), "--T inf has a non-finite time"),
+        ((*_CYCLE[:-2], "--T", "nan"), "--T nan has a non-finite time"),
+        ((*_CYCLE[:-2], "--T", "-1"), "--T -1.0 has a negative time"),
     ],
-    ids=["patterns", "patterns_only_commas", "atoms", "s_atoms", "t_atoms"],
+    ids=[
+        "patterns", "patterns_only_commas", "atoms", "s_atoms", "t_atoms",
+        "times", "analytic_grid", "motives_grid", "layers", "config_times",
+        "layers_not_integer", "times_not_number", "times_blank", "T_inf", "T_nan", "T_negative",
+    ],
 )
-def test_an_empty_comma_entry_is_a_usage_error(capsys, argv, named):
-    # a pattern list or a degree law refuses an empty entry and names
-    # itself, as --layers and --times do, rather than dropping the entry and
-    # echoing the list as given into the metadata
+def test_an_empty_comma_entry_is_a_usage_error(tmp_path, capsys, argv, named):
+    # every comma list the CLI reads, and --T on its own, refuses a bad or
+    # empty entry and names itself, rather than dropping the entry and
+    # echoing the list as given into the metadata; a dict stands for the
+    # --config file that holds it
+    if isinstance(argv[-1], dict):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(argv[-1]))
+        argv = (*argv[:-1], str(cfg))
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
     assert named in err
