@@ -47,8 +47,8 @@ over that prefix alone (m is its size; on a cycle, or when every vertex is
 measured, m = n).  A neighbor outside the prefix receives no arrival and
 never reaches a layer: its T_k is infinite.  So a fixed ball need only
 be built down to the deepest level a measured cone reads
-(SimConfig.reach), as the CLI builds a regular ball; it goes to the
-replicas as given, with its neighbor table over the prefix built once.
+(SimConfig.reach), as the CLI builds a regular ball; its light cone is
+built once and goes to the replicas in the graph's place.
 The fill times are the exact ones of the finite graph given.  They are
 marginals of the infinite line or tree it stands for when every measured
 light cone fits inside it: on a cycle when n >= 2 * depth + 1, so no cone
@@ -76,7 +76,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import zip_longest
-from typing import TYPE_CHECKING, Union
+from typing import TYPE_CHECKING, NamedTuple, Union
 
 from ._version import __version__
 from .curves import DensityCurve, SeriesPoint, _check_times
@@ -207,26 +207,31 @@ def _arrival_gaps(m: int, depth: int, rng: np.random.Generator) -> np.ndarray:
 
 def _cone_arrays(graph: GraphInstance, m: int, measured: tuple[int, ...]):
     """The padded neighbor table of the first m vertex ids, shape
-    (width, m), and the measured ids as an index array.
+    (width, m), and the measured ids as an index array, both read-only.
 
     Short rows are padded, and neighbors outside the prefix replaced, with
-    the sentinel id m, which never reaches a layer.  The arrays are kept
-    on the graph, which is immutable, for the last (m, measured) asked of
-    it, and are read-only.  So the replicas of one fixed graph build them
-    once; a random ball, new in each replica, builds them over its light
-    cone only.
+    the sentinel id m, which never reaches a layer.
     """
     import numpy as np
 
-    kept = graph.__dict__.get("_cone_arrays")
-    if kept is not None and kept[0] == m and kept[1] == measured:
-        return kept[2]
     columns = list(zip_longest(*graph.neighbors[:m], fillvalue=m)) or [(m,) * m]
     table = np.minimum(np.array(columns, dtype=np.intp), m)
     index = np.fromiter(measured, dtype=np.intp, count=len(measured))
     table.flags.writeable = index.flags.writeable = False
-    object.__setattr__(graph, "_cone_arrays", (m, measured, (table, index)))
     return table, index
+
+
+class _Cone(NamedTuple):
+    """All a replica reads of a graph, as _replica_setup builds it: the
+    measured ids and _cone_arrays over their light cone, of vertex_count m."""
+
+    measured: tuple[int, ...]
+    table: np.ndarray
+    index: np.ndarray
+
+    @property
+    def vertex_count(self) -> int:
+        return self.table.shape[1]
 
 
 def _settle_layers(table: np.ndarray, gaps: np.ndarray, measured: np.ndarray) -> np.ndarray:
@@ -260,21 +265,20 @@ def _settle_layers(table: np.ndarray, gaps: np.ndarray, measured: np.ndarray) ->
     return fill
 
 
-def _replica_setup(graph: GraphInstance, config: SimConfig):
-    """The measured ids that config.measure names on graph, and the cached
-    _cone_arrays over their light cone."""
+def _replica_setup(graph: GraphInstance, config: SimConfig) -> _Cone:
+    """The light cone of the vertices that config.measure names on graph."""
     if config.measure == "interior":
         measured = graph.interior
     elif graph.root is None:
         raise ValueError(f"graph {graph.label!r} has no root to measure")
     else:
         measured = (graph.root,)
-    table, index = _cone_arrays(graph, _light_cone(graph, measured, config.depth), measured)
-    return measured, table, index
+    m = _light_cone(graph, measured, config.depth)
+    return _Cone(measured, *_cone_arrays(graph, m, measured))
 
 
 def run_replica(
-    graph: GraphInstance,
+    graph: GraphInstance | _Cone,
     config: SimConfig,
     rng: np.random.Generator | np.random.SeedSequence | int | None,
 ) -> ReplicaSnapshot:
@@ -288,12 +292,13 @@ def run_replica(
     and _settle_layers settles them one layer at a time (see the module
     docstring).  The draw depends on the cone alone, not on the rest of
     the graph, and the result does not depend on the sample times, which
-    snapshot_observables reads.
+    snapshot_observables reads.  graph may also be the cone that
+    _replica_setup built for config, as estimate_densities sends it.
     """
     rng = _generator(rng)
-    measured, table, index = _replica_setup(graph, config)
-    gaps = _arrival_gaps(table.shape[1], config.depth, rng)
-    return ReplicaSnapshot(measured=measured, fill_times=_settle_layers(table, gaps, index))
+    cone = graph if isinstance(graph, _Cone) else _replica_setup(graph, config)
+    gaps = _arrival_gaps(cone.vertex_count, config.depth, rng)
+    return ReplicaSnapshot(cone.measured, _settle_layers(cone.table, gaps, cone.index))
 
 
 @lru_cache(maxsize=1)
@@ -387,10 +392,9 @@ def estimate_densities(
     realizations; for a RandomBallSource also a fresh tree per replica),
     averages each observable over the measured vertices within a replica,
     and reports the mean over replicas with the standard error of the
-    replica means.  A fixed graph is sent to each worker as given, with
-    its neighbor table over the measured light cone built once, before
-    any block runs; a RandomBallSource is built inside each replica, so
-    only the recipe is sent.
+    replica means.  A fixed graph's light cone is built once, and each
+    worker is sent that cone in the graph's place; a RandomBallSource is
+    built inside each replica, so only the recipe is sent.
 
     The replicas run in contiguous blocks, one per worker, and the calling
     process runs the first block while a process pool of the other workers
@@ -406,14 +410,10 @@ def estimate_densities(
     n_jobs = _count(n_jobs, "n_jobs", 1)
     names = observable_names(config)
     reps = config.replicas
-    if isinstance(graph, GraphInstance):
-        # Built before any block runs: the pool pickles the graph while the
-        # caller runs its block, and building the arrays then would change
-        # graph.__dict__ mid-pickle.  The workers receive them ready-made.
-        _replica_setup(graph, config)
+    sent = _replica_setup(graph, config) if isinstance(graph, GraphInstance) else graph
     workers = min(n_jobs, reps, _usable_cpus())
     blocks = [
-        (graph, config, reps * w // workers, reps * (w + 1) // workers)
+        (sent, config, reps * w // workers, reps * (w + 1) // workers)
         for w in range(workers)
     ]
     if workers == 1:

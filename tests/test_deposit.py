@@ -416,11 +416,12 @@ def test_light_cone_filter_is_exact(build, measure, seeds, observed):
     ids=["depth2", "depth4"],
 )
 def test_ball_cut_to_its_light_cone_gives_the_same_masks(measure, observed, cones, monkeypatch):
-    # a fixed ball goes to every block as given, and each replica draws and
-    # settles only the light cone of its measured vertices, a prefix of the
-    # ids: the fill times are those of the ball cut to that prefix, seed for
-    # seed.  The cone of T_3 to level r has 1 + 3(2^r - 1) vertices:
-    # interior vertices reach level 3 + depth, the root level depth.
+    # a fixed ball's light cone goes to every block in its place, and each
+    # replica draws and settles only that cone, a prefix of the ids: the
+    # fill times are those of the ball cut to that prefix, seed for seed,
+    # and those of the cone itself.  The cone of T_3 to level r has
+    # 1 + 3(2^r - 1) vertices: interior vertices reach level 3 + depth, the
+    # root level depth.
     ball = build_regular_ball(3, radius=7, buffer=4)
     cfg = SimConfig(sample_times=(0.5, 1.0, 2.0, 4.0), replicas=8, seed=5,
                     measure=measure, **observed)
@@ -432,18 +433,23 @@ def test_ball_cut_to_its_light_cone_gives_the_same_masks(measure, observed, cone
         interior=tuple(v for v in ball.interior if v < m),
         root=ball.root,
     )
-    for seed in range(20):
-        full, short = run_replica(ball, cfg, rng=seed), run_replica(cut, cfg, rng=seed)
-        assert short.measured == full.measured
-        assert np.array_equal(short.fill_times, full.fill_times)
-    # every block receives the caller's ball itself, and the blocks cover
-    # the replicas once and in order
+    # every block receives the one cone of m vertices built for the ball,
+    # and the blocks cover the replicas once and in order
+    _inline_pool(monkeypatch)
+    monkeypatch.setattr(deposit, "_usable_cpus", lambda: 2)
     sent = []
     task = deposit._replica_task
     monkeypatch.setattr(deposit, "_replica_task", lambda args: sent.append(args) or task(args))
-    estimate_densities(ball, cfg)
-    assert all(args[0] is ball for args in sent)
+    estimate_densities(ball, cfg, n_jobs=2)
+    cone = sent[0][0]
+    assert len(sent) == 2 and all(args[0] is cone for args in sent)
+    assert cone.vertex_count == m
     assert [r for _, _, lo, hi in sent for r in range(lo, hi)] == list(range(cfg.replicas))
+    for seed in range(20):
+        full = run_replica(ball, cfg, rng=seed)
+        for short in (run_replica(cut, cfg, rng=seed), run_replica(cone, cfg, rng=seed)):
+            assert short.measured == full.measured
+            assert np.array_equal(short.fill_times, full.fill_times)
 
 
 @pytest.mark.parametrize("n_jobs", [1, 2])
@@ -834,32 +840,46 @@ def test_worker_count_is_capped(replicas, n_jobs, cpus, pool, monkeypatch):
 @pytest.mark.parametrize(
     "build, n_jobs",
     [(lambda: build_regular_ball(3, 7, 4), 1), (lambda: build_regular_ball(3, 7, 4), 2),
-     (lambda: build_cycle(30), 1)],
-    ids=["ball_serial", "ball_pool", "cycle"],
+     (lambda: build_cycle(30), 1), (lambda: build_cycle(30), 2),
+     (lambda: RandomBallSource(TWO_THREE, radius=5, buffer=1), 2)],
+    ids=["ball_serial", "ball_pool", "cycle", "cycle_pool", "random_ball_source"],
 )
 def test_workers_get_the_neighbor_table_ready_made(build, n_jobs, monkeypatch):
-    # the caller builds the table before any block starts.  Block 0 runs
-    # while the pool's feeder thread pickles the graph for the others, so
-    # a table built by block 0 would change the graph mid-pickle; built
-    # first, it is on the graph each block receives, pickled or not
+    # a fixed graph's light cone, its neighbor table among it, is built once
+    # per call, before any block starts, and every block receives that cone
+    # in the graph's place, pickled or not; a random ball builds its own in
+    # each replica.  Nothing is written to the graph: after a run it holds
+    # only its fields and pickles to the same bytes.
     _inline_pool(monkeypatch)
     monkeypatch.setattr(deposit, "_usable_cpus", lambda: n_jobs)
     graph = build()
     cfg = SimConfig(sample_times=(1.0, 2.0), replicas=4, seed=4)
-    measured = graph.interior
-    key = (_light_cone(graph, measured, cfg.depth), measured)
-    ready = []
-    task = deposit._replica_task
+    before = pickle.dumps(graph)
+    built, sent = [], []
+    setup, task = deposit._replica_setup, deposit._replica_task
 
-    def recording(args):
-        kept = args[0].__dict__.get("_cone_arrays", ())
-        sent = pickle.loads(pickle.dumps(args[0])).__dict__.get("_cone_arrays", ())
-        ready.append((kept[:2] == key, sent[:2] == key))
-        return task(args)
+    def building(graph, config):
+        built.append(setup(graph, config))
+        return built[-1]
 
-    monkeypatch.setattr(deposit, "_replica_task", recording)
+    monkeypatch.setattr(deposit, "_replica_setup", building)
+    monkeypatch.setattr(deposit, "_replica_task", lambda args: sent.append(args[0]) or task(args))
     estimate_densities(graph, cfg, n_jobs=n_jobs)
-    assert ready == [(True, True)] * n_jobs
+    assert len(sent) == n_jobs
+    if isinstance(graph, RandomBallSource):
+        assert len(built) == cfg.replicas
+        assert all(given is graph for given in sent)
+        return
+    [cone] = built
+    assert all(given is cone for given in sent)
+    assert cone.vertex_count == _light_cone(graph, graph.interior, cfg.depth)
+    copy = pickle.loads(pickle.dumps(cone))
+    assert copy.measured == cone.measured == graph.interior
+    assert np.array_equal(copy.table, cone.table)
+    assert np.array_equal(copy.index, cone.index)
+    run_replica(graph, cfg, rng=0)
+    assert graph.__dict__.keys() == graph.__dataclass_fields__.keys()
+    assert pickle.dumps(graph) == before
 
 
 def test_usable_cpus_reads_the_affinity_mask(monkeypatch):
